@@ -193,7 +193,7 @@ std::uint64_t NearFarEngine::plan_chunks() {
   const std::size_t x1 = frontier_.size();
   frontier_dist_.resize(x1);
 
-  // The shared planner (frontier/plan.hpp) runs the parallel two-pass
+  // The planner (frontier/plan.hpp) runs the parallel two-pass
   // prefix sum over the frontier's out-degrees; its snapshot hook
   // captures every frontier vertex's iteration-start distance in the
   // same sweep (synchronous-relaxation semantics: phase A reads only

@@ -51,8 +51,7 @@ class NearFarEngine {
     bool parallel = false;
     std::size_t parallel_threshold = 4096;
 
-    // Work partitioning for parallel phases (frontier/plan.hpp — the
-    // planner is shared with the batched multi-source engine).
+    // Work partitioning for parallel phases (frontier/plan.hpp).
     // Edge-balanced chunks are cut by binary-searching the frontier's
     // degree prefix sums so each chunk owns ~equal *edges* — on
     // skewed-degree (scale-free) graphs vertex-balanced chunks leave
@@ -194,7 +193,7 @@ class NearFarEngine {
 
   // Computes edge_prefix_ / frontier_dist_ over the current frontier
   // and cuts chunk_begin_ according to options_.partition, via the
-  // shared planner (frontier/plan.hpp). Returns X2 (total edges).
+  // planner (frontier/plan.hpp). Returns X2 (total edges).
   std::uint64_t plan_chunks();
 
   // Stable-partitions `input` by distance < threshold: vertices below

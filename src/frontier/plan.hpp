@@ -1,7 +1,5 @@
-// Shared frontier work-plan builder: the edge-balanced prefix-sum
-// planner extracted from the deterministic advance pipeline so every
-// engine that sweeps a frontier — the single-source near-far engine and
-// the batched multi-source engine — cuts chunks the same way.
+// Frontier work-plan builder: the edge-balanced prefix-sum planner of
+// the deterministic parallel advance pipeline (frontier/engine.cpp).
 //
 // The plan is two artifacts over one frontier:
 //

@@ -1,10 +1,10 @@
 // Process-wide resource governance (docs/ROBUSTNESS.md, "Resource
 // budgets & exhaustion"). The big consumers — CSR graph load, the
-// frontier engine's high-water reserves, batch-engine SoA lanes,
-// checkpoint serialization, the serve result cache — ask the
-// ResourceBudget *before* allocating, so oversize work is rejected
-// with a structured ResourceError (tools exit kExitResourceBudget)
-// instead of dying in the OOM killer or an uncaught std::bad_alloc.
+// frontier engine's high-water reserves, checkpoint serialization, the
+// serve result cache — ask the ResourceBudget *before* allocating, so
+// oversize work is rejected with a structured ResourceError (tools exit
+// kExitResourceBudget) instead of dying in the OOM killer or an
+// uncaught std::bad_alloc.
 //
 // Three tracked resources:
 //   memory   bytes of large-object allocations, charged/released

@@ -79,17 +79,6 @@ class AdmissionQueue {
   // empty (nullopt — the worker's exit signal).
   std::optional<Popped> pop();
 
-  // Non-blocking coalescing scan (docs/SERVING.md, "Query
-  // coalescing"): removes and returns up to `max_count` queued tickets
-  // matching `pred`, front to back, preserving the relative order of
-  // everything left behind. The predicate must be pure (it runs under
-  // the queue mutex). Used by workers to drain queries compatible with
-  // the one they just popped into a single batched solve; the returned
-  // tickets leave the queue exactly as a pop does, so the
-  // one-response-per-ticket accounting is unchanged.
-  std::vector<Ticket> pop_matching(
-      const std::function<bool(const Ticket&)>& pred, std::size_t max_count);
-
   // Stops admissions and wakes blocked poppers. Idempotent.
   void close();
   bool closed() const;

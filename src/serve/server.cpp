@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <ostream>
-#include <span>
 #include <stdexcept>
 
 #include "ckpt/checkpoint.hpp"
@@ -235,17 +234,6 @@ void Server::submit(std::string_view line, ResponseSink sink) {
   }
 }
 
-bool Server::batchable(const Ticket& ticket) const {
-  if (ticket.request.cmd != "query") return false;
-  // Deadline-free only: a coalesced run has no per-lane interruption,
-  // so a tight deadline must not be hostage to its batchmates.
-  if (ticket.deadline != Clock::time_point::max()) return false;
-  const std::string& algorithm = ticket.request.algorithm.empty()
-                                     ? options_.default_algorithm
-                                     : ticket.request.algorithm;
-  return algorithm == "near-far";
-}
-
 void Server::worker_loop(std::size_t worker_id) {
   for (;;) {
     std::optional<AdmissionQueue::Popped> popped = queue_.pop();
@@ -266,41 +254,9 @@ void Server::worker_loop(std::size_t worker_id) {
       continue;
     }
 
-    // Query coalescing: drain queued queries compatible with the one
-    // just popped (same effective algorithm/delta/verify, deadline-free)
-    // into one batched run. The matched tickets left the queue exactly
-    // as a pop would, so in_flight_ covers the whole batch before any
-    // of it executes — drain sees them as running work, not lost slots.
-    std::vector<Ticket> batch;
-    if (options_.batch_max > 1 && batchable(ticket)) {
-      const Request& head = ticket.request;
-      const int head_verify = head.verify >= 0
-                                  ? head.verify
-                                  : (options_.verify_default ? 1 : 0);
-      batch = queue_.pop_matching(
-          [&](const Ticket& other) {
-            if (!batchable(other)) return false;
-            if (other.request.delta != head.delta) return false;
-            const int other_verify =
-                other.request.verify >= 0
-                    ? other.request.verify
-                    : (options_.verify_default ? 1 : 0);
-            return other_verify == head_verify;
-          },
-          std::min(options_.batch_max - 1, algo::kMaxBatchLanes - 1));
-      set_gauge("serve.queue.depth", static_cast<double>(queue_.depth()));
-    }
-
-    if (batch.empty()) {
-      in_flight_.fetch_add(1, std::memory_order_acq_rel);
-      execute(ticket, worker_id);
-      in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-      continue;
-    }
-    batch.insert(batch.begin(), std::move(ticket));
-    in_flight_.fetch_add(batch.size(), std::memory_order_acq_rel);
-    execute_batch(batch, worker_id);
-    in_flight_.fetch_sub(batch.size(), std::memory_order_acq_rel);
+    in_flight_.fetch_add(1, std::memory_order_acq_rel);
+    execute(ticket, worker_id);
+    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   }
 }
 
@@ -440,7 +396,7 @@ void Server::execute(Ticket& ticket, std::size_t worker_id) {
 
     if (!cache_hit)
       maybe_sample(request.id, request.source, algorithm,
-                   entry->result.iterations, /*batched=*/false);
+                   entry->result.iterations);
 
     const double total_ms = queue_ms + response.run_ms;
     latency_ms_.record(total_ms);
@@ -485,7 +441,7 @@ void Server::execute(Ticket& ticket, std::size_t worker_id) {
 void Server::maybe_sample(
     const std::string& id, graph::VertexId source,
     const std::string& algorithm,
-    const std::vector<frontier::IterationStats>& iterations, bool batched) {
+    const std::vector<frontier::IterationStats>& iterations) {
   if (options_.sample_reports == 0) return;
   std::lock_guard<std::mutex> lock(samples_mu_);
   if (samples_.size() >= options_.sample_reports) return;
@@ -493,238 +449,8 @@ void Server::maybe_sample(
   sample.id = id;
   sample.source = source;
   sample.algorithm = algorithm;
-  sample.batched = batched;
   sample.iterations = iterations;
   samples_.push_back(std::move(sample));
-}
-
-void Server::execute_batch(std::vector<Ticket>& batch,
-                           std::size_t worker_id) {
-  const Clock::time_point exec_start = Clock::now();
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batched_queries_.fetch_add(batch.size(), std::memory_order_relaxed);
-  bump("serve.batch.runs");
-  if (obs::metrics_enabled())
-    obs::MetricsRegistry::global().counter("serve.batch.queries")
-        .add(batch.size());
-
-  // All tickets share one effective algorithm/delta/verify by
-  // construction (worker_loop's compatibility predicate).
-  const Request& head = batch.front().request;
-  const bool verify = head.verify >= 0 ? head.verify != 0
-                                       : options_.verify_default;
-  CacheKey key_template;
-  key_template.fingerprint = fingerprint_;
-  key_template.options_key =
-      cache_options_key("near-far", head.delta, 0.0);
-  const auto key_for = [&](graph::VertexId source) {
-    CacheKey key = key_template;
-    key.source = source;
-    return key;
-  };
-
-  // One response per ticket, on every path: `responded` tracks which
-  // tickets have been answered so the exception paths below can sweep
-  // up exactly the remainder.
-  std::vector<bool> responded(batch.size(), false);
-  std::vector<double> queue_ms(batch.size(), 0.0);
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    queue_ms[i] = ms_between(batch[i].admitted_at, exec_start);
-
-  util::RunControl control;
-  active_controls_[worker_id].store(&control, std::memory_order_release);
-  struct SlotGuard {
-    std::atomic<util::RunControl*>& slot;
-    ~SlotGuard() { slot.store(nullptr, std::memory_order_release); }
-  } slot_guard{active_controls_[worker_id]};
-
-  try {
-    if (SSSP_FAILPOINT("serve.handler.crash"))
-      throw std::runtime_error("injected handler crash");
-
-    // Cache hits are served out of the batch up front; the remaining
-    // tickets dedup by source into lanes of one batched run.
-    std::vector<graph::VertexId> sources;
-    std::vector<std::size_t> lane_of(batch.size(), 0);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const Request& request = batch[i].request;
-      const graph::VertexId source = request.source;
-      std::shared_ptr<const CacheEntry> hit = cache_.lookup(key_for(source));
-      if (hit != nullptr) {
-        // Serve the hit out of the batch, with the same read-side
-        // re-certification and poisoning quarantine as the single-query
-        // path (the serve.cache.flip drill applies to batched traffic
-        // too).
-        bump("serve.cache.hit");
-        Response response;
-        response.id = request.id;
-        response.queue_ms = queue_ms[i];
-        bool certified = false;
-        if (verify) {
-          const verify::Certificate certificate =
-              verify::certify(graph_, hit->result);
-          certified = certificate.certified;
-          if (!certified) {
-            certification_failures_.fetch_add(1, std::memory_order_relaxed);
-            bump("serve.certification.failed");
-            cache_poisoned_.fetch_add(1, std::memory_order_relaxed);
-            bump("serve.cache.poisoned");
-            cache_.invalidate(key_for(source));
-            response.status = Status::kError;
-            response.error = "cached result failed certification: " +
-                             certificate.summary();
-            response.run_ms = ms_between(exec_start, Clock::now());
-            responded[i] = true;
-            respond(batch[i], std::move(response));
-            continue;
-          }
-        }
-        response.status = Status::kOk;
-        response.algorithm = "near-far";
-        response.reached = hit->result.reached_count();
-        response.iterations = hit->result.num_iterations();
-        response.improving_relaxations = hit->result.improving_relaxations;
-        response.dist_checksum = hit->dist_checksum;
-        response.cache_hit = true;
-        response.verified = verify;
-        response.certified = certified;
-        response.run_ms = ms_between(exec_start, Clock::now());
-        response.targets.reserve(request.targets.size());
-        for (const graph::VertexId v : request.targets)
-          response.targets.push_back(
-              TargetDistance{v, hit->result.distances[v]});
-        latency_ms_.record(queue_ms[i] + response.run_ms);
-        record_hist("serve.latency.ms", queue_ms[i] + response.run_ms);
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        bump("serve.completed");
-        responded[i] = true;
-        respond(batch[i], std::move(response));
-        continue;
-      }
-      bump("serve.cache.miss");
-      const auto found = std::find(sources.begin(), sources.end(), source);
-      lane_of[i] = static_cast<std::size_t>(found - sources.begin());
-      if (found == sources.end()) sources.push_back(source);
-    }
-    if (sources.empty()) return;  // every ticket was a cache hit
-
-    algo::BatchOptions batch_options;
-    batch_options.strategy = options_.batch_strategy;
-    batch_options.delta = static_cast<graph::Distance>(head.delta);
-    batch_options.control = &control;
-    const algo::BatchResult result = algo::run_batch(
-        graph_,
-        std::span<const graph::VertexId>(sources.data(), sources.size()),
-        batch_options);
-
-    const double run_ms = ms_between(exec_start, Clock::now());
-    // Per-lane finish: checksum, certification verdict, cache insert,
-    // then fan the lane's result out to every ticket that asked for it.
-    std::vector<std::shared_ptr<const CacheEntry>> entries(sources.size());
-    std::vector<bool> lane_certified(sources.size(), false);
-    std::vector<std::string> lane_error(sources.size());
-    for (std::size_t l = 0; l < sources.size(); ++l) {
-      auto fresh = std::make_shared<CacheEntry>();
-      fresh->result = result.lanes[l];
-      fresh->dist_checksum = graph::fnv1a64(
-          fresh->result.distances.data(),
-          fresh->result.distances.size() * sizeof(graph::Distance));
-      if (verify) {
-        const verify::Certificate certificate =
-            verify::certify(graph_, fresh->result);
-        lane_certified[l] = certificate.certified;
-        if (!certificate.certified) {
-          certification_failures_.fetch_add(1, std::memory_order_relaxed);
-          bump("serve.certification.failed");
-          lane_error[l] = "batched result failed certification: " +
-                          certificate.summary();
-          continue;  // never cache a bad lane
-        }
-      }
-      entries[l] = fresh;
-      cache_.insert(key_for(sources[l]), std::move(fresh));
-    }
-
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (responded[i]) continue;
-      const Request& request = batch[i].request;
-      const std::size_t l = lane_of[i];
-      Response response;
-      response.id = request.id;
-      response.queue_ms = queue_ms[i];
-      response.run_ms = run_ms;
-      if (entries[l] == nullptr) {
-        response.status = Status::kError;
-        response.error = lane_error[l];
-      } else {
-        const CacheEntry& entry = *entries[l];
-        response.status = Status::kOk;
-        response.algorithm = "near-far";
-        response.reached = entry.result.reached_count();
-        response.iterations = entry.result.num_iterations();
-        response.improving_relaxations = entry.result.improving_relaxations;
-        response.dist_checksum = entry.dist_checksum;
-        response.cache_hit = false;
-        response.verified = verify;
-        response.certified = lane_certified[l];
-        response.targets.reserve(request.targets.size());
-        for (const graph::VertexId v : request.targets)
-          response.targets.push_back(
-              TargetDistance{v, entry.result.distances[v]});
-        maybe_sample(request.id, request.source, "near-far",
-                     entry.result.iterations, /*batched=*/true);
-        const double total_ms = queue_ms[i] + run_ms;
-        latency_ms_.record(total_ms);
-        record_hist("serve.latency.ms", total_ms);
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        bump("serve.completed");
-      }
-      responded[i] = true;
-      respond(batch[i], std::move(response));
-    }
-    const double per_query_ms = run_ms / static_cast<double>(sources.size());
-    const double prev = ewma_run_ms_.load(std::memory_order_relaxed);
-    ewma_run_ms_.store(0.8 * prev + 0.2 * per_query_ms,
-                       std::memory_order_relaxed);
-  } catch (const util::StopRequested& stopped) {
-    // One interruption fails the whole coalesced run; every ticket not
-    // yet answered still gets its structured response.
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (responded[i]) continue;
-      Response response;
-      response.id = batch[i].request.id;
-      response.queue_ms = queue_ms[i];
-      response.run_ms = ms_between(exec_start, Clock::now());
-      if (stopped.reason() == util::StopReason::kDeadline) {
-        expired_running_.fetch_add(1, std::memory_order_relaxed);
-        bump("serve.expired.running");
-        response.status = Status::kExpired;
-        response.error = "deadline expired during execution";
-      } else {
-        drain_aborted_.fetch_add(1, std::memory_order_relaxed);
-        bump("serve.drain.aborted");
-        response.status = Status::kShuttingDown;
-        response.error = "batched run aborted by drain";
-        response.retry_after_ms = 1000.0;
-      }
-      responded[i] = true;
-      respond(batch[i], std::move(response));
-    }
-  } catch (const std::exception& e) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (responded[i]) continue;
-      handler_errors_.fetch_add(1, std::memory_order_relaxed);
-      bump("serve.handler.error");
-      Response response;
-      response.id = batch[i].request.id;
-      response.status = Status::kError;
-      response.error = e.what();
-      response.queue_ms = queue_ms[i];
-      response.run_ms = ms_between(exec_start, Clock::now());
-      responded[i] = true;
-      respond(batch[i], std::move(response));
-    }
-  }
 }
 
 void Server::drain() {
@@ -799,8 +525,6 @@ ServerStats Server::stats() const {
   s.certification_failures =
       certification_failures_.load(std::memory_order_relaxed);
   s.cache_poisoned = cache_poisoned_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.batched_queries = batched_queries_.load(std::memory_order_relaxed);
   s.cache = cache_.stats();
   s.queue_depth = queue_.depth();
   s.in_flight = in_flight_.load(std::memory_order_acquire);
@@ -841,8 +565,6 @@ void Server::write_report(std::ostream& out) const {
   w.key("drain_ms").value(options_.drain_ms);
   w.key("verify_default").value(options_.verify_default);
   w.key("default_algorithm").value(options_.default_algorithm);
-  w.key("batch_max").value(static_cast<std::uint64_t>(options_.batch_max));
-  w.key("batch_strategy").value(algo::to_string(options_.batch_strategy));
   w.key("sample_reports").value(
       static_cast<std::uint64_t>(options_.sample_reports));
   w.end_object();
@@ -866,8 +588,6 @@ void Server::write_report(std::ostream& out) const {
   w.key("handler_errors").value(s.handler_errors);
   w.key("certification_failures").value(s.certification_failures);
   w.key("cache_poisoned").value(s.cache_poisoned);
-  w.key("batches").value(s.batches);
-  w.key("batched_queries").value(s.batched_queries);
   w.key("queue_depth").value(static_cast<std::uint64_t>(s.queue_depth));
   w.key("in_flight").value(static_cast<std::uint64_t>(s.in_flight));
   w.end_object();
@@ -910,7 +630,6 @@ void Server::write_report(std::ostream& out) const {
       w.key("id").value(sample.id);
       w.key("source").value(static_cast<std::uint64_t>(sample.source));
       w.key("algorithm").value(sample.algorithm);
-      w.key("batched").value(sample.batched);
       w.key("iterations").begin_array();
       for (const frontier::IterationStats& it : sample.iterations) {
         w.begin_object();

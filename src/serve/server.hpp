@@ -26,6 +26,7 @@
 // expire a query or skew a percentile.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -43,10 +44,15 @@
 #include "serve/admission.hpp"
 #include "serve/protocol.hpp"
 #include "serve/result_cache.hpp"
-#include "sssp/batch_engine.hpp"
 #include "util/run_control.hpp"
 
 namespace sssp::serve {
+
+// One worker per hardware thread (at least one): each query is one
+// near-far solve, so extra workers are how a server uses extra cores.
+inline std::size_t default_workers() noexcept {
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
 
 struct ServerOptions {
   // Admission queue capacity and overflow policy.
@@ -54,7 +60,7 @@ struct ServerOptions {
   ShedPolicy shed_policy = ShedPolicy::kRejectNew;
   // Per-query concurrency cap: at most this many queries execute at
   // once (each may still use the global thread pool internally).
-  std::size_t workers = 2;
+  std::size_t workers = default_workers();
   // LRU result-cache capacity in entries (0 disables caching).
   std::size_t cache_entries = 128;
   // Default per-query deadline when the request carries none (0 =
@@ -70,17 +76,6 @@ struct ServerOptions {
   std::string default_algorithm = "near-far";
   // Default self-tuning set-point for requests that do not set one.
   double set_point = 20000.0;
-  // Query coalescing (docs/SERVING.md, "Query coalescing"): a worker
-  // that pops a batchable near-far query additionally drains up to
-  // batch_max - 1 compatible queued queries (same effective algorithm,
-  // delta, and verify flag; deadline-free) and solves them all in one
-  // batched run (sssp/batch_engine.hpp), fanning the per-lane results
-  // out to each ticket's response sink. 1 disables coalescing.
-  std::size_t batch_max = 8;
-  // Independent is the measured default (docs/PERFORMANCE.md, "Batched
-  // multi-source"): fused only wins when the union frontiers of the
-  // batch overlap heavily, which road-like queries rarely do.
-  algo::BatchStrategy batch_strategy = algo::BatchStrategy::kIndependent;
   // Capture the full per-iteration trace of the first N freshly solved
   // queries and publish them in the final report's "sampled_reports"
   // array (0 disables; bounded so a long-running server cannot grow
@@ -116,8 +111,9 @@ struct ServerStats {
   std::uint64_t handler_errors = 0;
   std::uint64_t certification_failures = 0;
   std::uint64_t cache_poisoned = 0;
-  std::uint64_t batches = 0;          // coalesced runs (>= 2 queries)
-  std::uint64_t batched_queries = 0;  // queries served by those runs
+  // Deprecated: query coalescing is gone, so this always reads 0. Kept
+  // only for source compatibility with existing readers.
+  std::uint64_t batched_queries = 0;
   ResultCache::Stats cache;
   std::size_t queue_depth = 0;
   std::size_t in_flight = 0;
@@ -172,19 +168,11 @@ class Server {
  private:
   void worker_loop(std::size_t worker_id);
   void execute(Ticket& ticket, std::size_t worker_id);
-  // Coalesced execution: one batched near-far run serving every ticket
-  // in `batch` (all mutually compatible). Exactly one response per
-  // ticket on every path — success, per-lane certification failure,
-  // drain interruption, or handler crash.
-  void execute_batch(std::vector<Ticket>& batch, std::size_t worker_id);
-  // True when the ticket may join a coalesced near-far run at all.
-  bool batchable(const Ticket& ticket) const;
   // First N fresh solves capture their full iteration trace for the
   // report's "sampled_reports" section.
   void maybe_sample(const std::string& id, graph::VertexId source,
                     const std::string& algorithm,
-                    const std::vector<frontier::IterationStats>& iterations,
-                    bool batched);
+                    const std::vector<frontier::IterationStats>& iterations);
   void respond(const Ticket& ticket, Response&& response);
   void respond_sink(const ResponseSink& sink, const Response& response);
   double retry_after_ms_hint() const;
@@ -218,12 +206,11 @@ class Server {
       shed_expired_queue_{0}, shed_draining_{0}, shed_memory_{0},
       expired_running_{0},
       drain_aborted_{0}, handler_errors_{0}, certification_failures_{0},
-      cache_poisoned_{0}, batches_{0}, batched_queries_{0};
+      cache_poisoned_{0};
   struct SampledReport {
     std::string id;
     graph::VertexId source = 0;
     std::string algorithm;
-    bool batched = false;
     std::vector<frontier::IterationStats> iterations;
   };
   mutable std::mutex samples_mu_;

@@ -37,7 +37,7 @@ SsspResult near_far(const graph::CsrGraph& graph, graph::VertexId source,
   while (!engine.frontier_empty()) {
     if (options.max_iterations && result.iterations.size() >= options.max_iterations)
       break;
-    if (options.control != nullptr && options.iteration_poll) {
+    if (options.control != nullptr) {
       const util::StopReason reason = options.control->poll_iteration(
           engine.total_improving_relaxations());
       if (reason != util::StopReason::kNone) throw util::StopRequested(reason);

@@ -26,12 +26,6 @@ struct NearFarOptions {
   // iteration and inside the engine stages; a stop request aborts the
   // run with util::StopRequested. Not owned; may be null.
   util::RunControl* control = nullptr;
-  // When false, the per-iteration control->poll_iteration() call is
-  // skipped: the stall watchdog's bookkeeping is not thread-safe, so
-  // runs sharing one RunControl across pool threads (the batch
-  // engine's independent lanes, sssp/batch_engine.hpp) disable it and
-  // rely on the engine's should_abort() polls, which are atomic.
-  bool iteration_poll = true;
 };
 
 SsspResult near_far(const graph::CsrGraph& graph, graph::VertexId source,

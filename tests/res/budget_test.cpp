@@ -99,7 +99,7 @@ TEST_F(BudgetTest, GenericFailpointForcesRefusalAtEverySite) {
   auto& budget = ResourceBudget::global();
   fault::FailpointRegistry::global().arm("res.alloc.fail");
   EXPECT_FALSE(budget.try_charge_memory(1, "res.engine.alloc"));
-  EXPECT_FALSE(budget.check_memory(1, "res.batch.alloc"));
+  EXPECT_FALSE(budget.check_memory(1, "res.serve.admit"));
   EXPECT_THROW(budget.require_memory(1, "res.graph.alloc"), ResourceError);
   EXPECT_GE(budget.snapshot().rejections, 3u);
   fault::FailpointRegistry::global().disarm_all();

@@ -319,6 +319,69 @@ TEST(ServerTest, ReportIsValidJson) {
   ASSERT_NE(doc.find("drain"), nullptr);
 }
 
+// --sample-reports surfaces the full per-iteration arrays of the first
+// N fresh solves in the final report.
+TEST(ServerTest, SampleReportsSurfaceIterationArrays) {
+  const auto g = random_graph(1024, 4.0, 60, 7);
+  ServerOptions options;
+  options.workers = 1;
+  options.sample_reports = 2;
+  Server server(g, options);
+  Collector c;
+  server.submit(query("a", 3), c.sink());
+  server.submit(query("b", 9), c.sink());
+  server.submit(query("c", 21), c.sink());
+  server.start();
+  ASSERT_TRUE(c.wait_for(3));
+  server.drain();
+
+  std::ostringstream out;
+  server.write_report(out);
+  const std::string report = out.str();
+  EXPECT_NE(report.find("\"sampled_reports\""), std::string::npos);
+  EXPECT_NE(report.find("\"id\":\"a\""), std::string::npos);
+  EXPECT_NE(report.find("\"x1\""), std::string::npos);
+  EXPECT_NE(report.find("\"improving_relaxations\""), std::string::npos);
+  // Capped at sample_reports = 2: the third query is not sampled.
+  EXPECT_EQ(report.find("\"id\":\"c\""), std::string::npos);
+}
+
+// Repeat queries for one source are served by the result cache: each
+// worker can miss at most once (its solve inserts the entry before it
+// pops again), so every later query is a hit. Every query still gets
+// exactly one ok, certified response with the same distances.
+TEST(ServerTest, RepeatQueriesOnOneSourceHitTheCache) {
+  const auto g = random_graph(2048, 5.0, 80, 3);
+  Server server(g, {});
+  const std::size_t workers = server.options().workers;
+  const std::size_t kQueries =
+      std::min(workers + 8, server.options().queue_capacity);
+  Collector c;
+  for (std::size_t i = 0; i < kQueries; ++i)
+    server.submit(query("r" + std::to_string(i), 7), c.sink());
+  server.start();
+  ASSERT_TRUE(c.wait_for(kQueries));
+  server.drain();
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.responses, kQueries);
+  EXPECT_EQ(stats.completed, kQueries);
+  EXPECT_GE(stats.cache.hits + workers, kQueries);
+
+  std::lock_guard<std::mutex> lock(c.mu);
+  ASSERT_EQ(c.responses.size(), kQueries);
+  std::vector<std::string> ids;
+  for (const Response& r : c.responses) {
+    ids.push_back(r.id);
+    EXPECT_EQ(r.status, Status::kOk) << r.id << ": " << r.error;
+    EXPECT_TRUE(r.certified) << r.id;
+    EXPECT_NE(r.dist_checksum, 0u) << r.id;
+    EXPECT_EQ(r.dist_checksum, c.responses.front().dist_checksum) << r.id;
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
+}
+
 // --- socket transport ---------------------------------------------------
 
 TEST(SocketTest, FrameRoundTripOverLoopback) {

@@ -50,11 +50,9 @@
 #include "obs/json.hpp"
 #include "prof/profiler.hpp"
 #include "serve/server.hpp"
-#include "sssp/batch_engine.hpp"
 #include "sssp/near_far.hpp"
 #include "tools/tool_common.hpp"
 #include "util/flags.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -349,64 +347,6 @@ ServeBench measure_serve_mmap(const graph::CsrGraph& road, bool full) {
   return bench;
 }
 
-// Batched multi-source throughput (--multi-source): the same K = 8
-// hash-picked sources per pinned graph class solved three ways —
-// sequentially (K single-source near-far runs) and via both
-// batch-engine strategies (docs/PERFORMANCE.md, "Batched
-// multi-source"). Warmup runs are excluded, timed runs averaged.
-// Informational like `serve`: reported as the `multi_source` section,
-// never gated — the gated speedup record lives in BENCH_frontier.json
-// via bench/multi_source.
-struct MultiSourceBench {
-  bool ran = false;
-  std::size_t lanes = 0;
-  struct Row {
-    std::string dataset;
-    double sequential_seconds = 0.0;
-    double fused_seconds = 0.0;
-    double independent_seconds = 0.0;
-  };
-  std::vector<Row> rows;
-};
-
-MultiSourceBench measure_multi_source(
-    const std::map<std::string, graph::CsrGraph>& graphs, int runs,
-    int warmup) {
-  MultiSourceBench bench;
-  bench.ran = true;
-  bench.lanes = 8;
-  for (const auto& [name, g] : graphs) {
-    std::vector<graph::VertexId> sources;
-    util::SplitMix64 hash(0x9e3779b97f4a7c15ull);
-    while (sources.size() < bench.lanes) {
-      const auto v =
-          static_cast<graph::VertexId>(hash.next() % g.num_vertices());
-      if (!g.neighbors(v).empty()) sources.push_back(v);
-    }
-    const auto time_avg = [&](const auto& fn) {
-      for (int i = 0; i < warmup; ++i) fn();
-      util::WallTimer timer;
-      for (int i = 0; i < runs; ++i) fn();
-      return timer.elapsed_seconds() / runs;
-    };
-    MultiSourceBench::Row row;
-    row.dataset = name;
-    row.sequential_seconds = time_avg([&] {
-      for (const graph::VertexId s : sources) (void)algo::near_far(g, s);
-    });
-    algo::BatchOptions fused;
-    fused.strategy = algo::BatchStrategy::kFused;
-    row.fused_seconds =
-        time_avg([&] { (void)algo::run_batch(g, sources, fused); });
-    algo::BatchOptions independent;
-    independent.strategy = algo::BatchStrategy::kIndependent;
-    row.independent_seconds =
-        time_avg([&] { (void)algo::run_batch(g, sources, independent); });
-    bench.rows.push_back(row);
-  }
-  return bench;
-}
-
 void write_serve_section(obs::JsonWriter& w, const ServeBench& bench) {
   w.key("queries").value(bench.queries);
   w.key("completed").value(bench.completed);
@@ -430,8 +370,7 @@ void write_bench_json(std::ostream& out, const std::string& matrix, int runs,
                       int warmup, double slowdown,
                       const std::vector<CellResult>& results,
                       const ServeBench& serve_bench,
-                      const ServeBench& serve_mmap_bench,
-                      const MultiSourceBench& multi_bench) {
+                      const ServeBench& serve_mmap_bench) {
   obs::JsonWriter w(out);
   w.begin_object();
   w.key("schema").value("tunesssp.bench.v1");
@@ -476,26 +415,6 @@ void write_bench_json(std::ostream& out, const std::string& matrix, int runs,
     w.key("note").value(
         "graph pages are file-backed (shared page cache): N worker "
         "processes over the same cache cost ~1x graph RSS, not Nx");
-    w.end_object();
-  }
-  if (multi_bench.ran) {
-    w.key("multi_source").begin_object();
-    w.key("lanes").value(static_cast<std::uint64_t>(multi_bench.lanes));
-    w.key("rows").begin_array();
-    for (const MultiSourceBench::Row& row : multi_bench.rows) {
-      const auto speedup = [&](double s) {
-        return s > 0.0 ? row.sequential_seconds / s : 0.0;
-      };
-      w.begin_object();
-      w.key("dataset").value(row.dataset);
-      w.key("sequential_seconds").value(row.sequential_seconds);
-      w.key("fused_seconds").value(row.fused_seconds);
-      w.key("independent_seconds").value(row.independent_seconds);
-      w.key("fused_speedup").value(speedup(row.fused_seconds));
-      w.key("independent_speedup").value(speedup(row.independent_seconds));
-      w.end_object();
-    }
-    w.end_array();
     w.end_object();
   }
   w.end_object();
@@ -655,10 +574,6 @@ int main(int argc, char** argv) {
                "also bench the query service: a seeded hot/cold mix through "
                "an in-process server (certification on), reported as the "
                "`serve` section (informational, never gated)");
-  flags.define("multi-source", "false",
-               "also bench batched multi-source: K=8 pinned queries per "
-               "graph class, sequential vs fused vs independent, reported "
-               "as the `multi_source` section (informational, never gated)");
   flags.define("overhead-check", "false",
                "assert disarmed SSSP_PROF_PHASE costs <= 1% of the advance "
                "sweep wall clock, then exit");
@@ -741,27 +656,10 @@ int main(int argc, char** argv) {
           serve_mmap_bench.rss.anon_mb, serve_mmap_bench.rss.file_mb);
     }
 
-    MultiSourceBench multi_bench;
-    if (flags.get_bool("multi-source")) {
-      multi_bench = measure_multi_source(graphs, runs, warmup);
-      for (const MultiSourceBench::Row& row : multi_bench.rows)
-        std::printf(
-            "bench: multi-source %-12s seq %.4fs, fused %.4fs (%.2fx), "
-            "independent %.4fs (%.2fx)\n",
-            row.dataset.c_str(), row.sequential_seconds, row.fused_seconds,
-            row.fused_seconds > 0.0
-                ? row.sequential_seconds / row.fused_seconds
-                : 0.0,
-            row.independent_seconds,
-            row.independent_seconds > 0.0
-                ? row.sequential_seconds / row.independent_seconds
-                : 0.0);
-    }
-
     if (const std::string out = flags.get_string("out"); !out.empty()) {
       std::ostringstream stream;
       write_bench_json(stream, matrix, runs, warmup, slowdown, results,
-                       serve_bench, serve_mmap_bench, multi_bench);
+                       serve_bench, serve_mmap_bench);
       stream << '\n';
       // Atomic so a crash or full disk mid-write can never leave a
       // truncated baseline that later runs would "regress" against.

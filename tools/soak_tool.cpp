@@ -30,7 +30,6 @@
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/checkpointed_run.hpp"
 #include "core/self_tuning.hpp"
-#include "sssp/batch_engine.hpp"
 #include "sssp/dijkstra.hpp"
 #include "tools/tool_common.hpp"
 #include "util/flags.hpp"
@@ -90,10 +89,6 @@ struct SoakStats {
   std::uint64_t scratch_restarts = 0;
   std::uint64_t audits = 0;
   std::uint64_t audit_violations = 0;
-  std::uint64_t batch_rounds = 0;
-  std::uint64_t batch_lanes = 0;
-  std::uint64_t batch_drills = 0;
-  std::uint64_t batch_drill_catches = 0;
   std::uint64_t exhaustion_rounds = 0;
   std::uint64_t exhaustion_clean_failures = 0;  // structured errors
   std::uint64_t exhaustion_disk_full = 0;
@@ -114,11 +109,6 @@ int main(int argc, char** argv) {
                "crash/resume cycles per round before the crash schedule "
                "is disarmed (keeps every round finite)");
   flags.define("ckpt-dir", ".", "directory for the soak checkpoints");
-  flags.define("batch-rounds", "0",
-               "additional batched multi-source rounds: random lane count "
-               "and strategy per round, every lane certified; ~1/4 of "
-               "rounds arm batch.lane.flip_dist and the corrupted lane "
-               "must FAIL certification");
   flags.define("exhaustion-rounds", "0",
                "additional resource-exhaustion rounds: random res.*/io.* "
                "failpoints armed over checkpointed runs; a run must "
@@ -286,75 +276,6 @@ int main(int argc, char** argv) {
     std::remove(ckpt_path.c_str());
     std::remove((ckpt_path + ".tmp").c_str());
 
-    // Batched leg (docs/SERVING.md, "Query coalescing"): survivors of a
-    // batched multi-source run certify per lane, exactly like single
-    // queries. A quarter of the rounds arm the batch.lane.flip_dist
-    // drill; a drill round only passes when the corrupted lane is
-    // CAUGHT (fails certification) while every other lane certifies.
-    const auto batch_rounds =
-        static_cast<std::uint64_t>(flags.get_int("batch-rounds"));
-    for (std::uint64_t round = 0; round < batch_rounds; ++round) {
-      std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ULL + 0xBA7C4ULL +
-                          round + 1);
-      const std::size_t lanes = 2 + rng() % 7;  // K in [2, 8]
-      std::vector<graph::VertexId> sources;
-      while (sources.size() < lanes) {
-        auto s = static_cast<graph::VertexId>(rng() % n);
-        for (int tries = 0; tries < 64 && g.out_degree(s) == 0; ++tries)
-          s = static_cast<graph::VertexId>(rng() % n);
-        sources.push_back(s);
-      }
-      const std::size_t threads = threads_list[rng() % threads_list.size()];
-      util::ThreadPool::set_global_threads(threads);
-      const algo::BatchStrategy strategy =
-          rng() % 2 == 0 ? algo::BatchStrategy::kFused
-                         : algo::BatchStrategy::kIndependent;
-      const bool drill = rng() % 4 == 0;
-      registry.disarm_all();
-      if (drill) registry.arm("batch.lane.flip_dist");
-
-      algo::BatchOptions boptions;
-      boptions.strategy = strategy;
-      const algo::BatchResult batch = algo::run_batch(g, sources, boptions);
-      registry.disarm_all();
-
-      verify::CertifyOptions copts;
-      copts.strict = flags.get_bool("verify-strict");
-      bool ok = true;
-      std::size_t caught = 0;
-      for (std::size_t l = 0; l < batch.lanes.size(); ++l) {
-        const verify::Certificate cert =
-            verify::certify(g, batch.lanes[l], copts);
-        const bool lane_ok =
-            cert.certified &&
-            algo::count_distance_mismatches(
-                batch.lanes[l].distances,
-                algo::dijkstra_distances(g, sources[l])) == 0;
-        if (drill && l == 0) {
-          // The flip_dist drill corrupts lane 0 after parents are
-          // derived; a certifier that lets it through is the failure.
-          lane_ok ? ok = false : ++caught;
-        } else if (!lane_ok) {
-          ok = false;
-        }
-      }
-      ++stats.rounds;
-      ++stats.batch_rounds;
-      stats.batch_lanes += batch.lanes.size();
-      if (drill) {
-        ++stats.batch_drills;
-        stats.batch_drill_catches += caught;
-      }
-      ok ? ++stats.certified : ++stats.failed;
-      std::printf(
-          "batch round %llu: lanes=%zu strategy=%s threads=%zu drill=%s "
-          "certification=%s\n",
-          static_cast<unsigned long long>(round), lanes,
-          algo::to_string(strategy), threads,
-          drill ? (caught != 0 ? "caught" : "MISSED") : "off",
-          ok ? "PASS" : "FAILED");
-    }
-
     // Exhaustion leg (docs/ROBUSTNESS.md, "Resource budgets &
     // exhaustion"): every round arms a random subset of the resource
     // and disk failpoints over a checkpointed run. The contract under
@@ -487,14 +408,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.scratch_restarts),
         static_cast<unsigned long long>(stats.audits),
         static_cast<unsigned long long>(stats.audit_violations));
-    if (stats.batch_rounds != 0)
-      std::printf(
-          "batched summary: %llu rounds, %llu lanes, %llu drills (%llu "
-          "caught)\n",
-          static_cast<unsigned long long>(stats.batch_rounds),
-          static_cast<unsigned long long>(stats.batch_lanes),
-          static_cast<unsigned long long>(stats.batch_drills),
-          static_cast<unsigned long long>(stats.batch_drill_catches));
     if (stats.failed != 0) return tools::kExitCertificationFailed;
   } catch (const graph::GraphIoError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

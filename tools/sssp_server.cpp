@@ -289,9 +289,10 @@ int main(int argc, char** argv) {
                "applies");
   flags.define("shed-policy", "reject-new",
                "overflow policy: reject-new | drop-oldest");
-  flags.define("workers", "2",
-               "queries executing concurrently (each may still use the "
-               "global thread pool internally)");
+  flags.define("workers", std::to_string(serve::default_workers()),
+               "queries executing concurrently (default: one per "
+               "hardware thread; each may still use the global thread "
+               "pool internally)");
   flags.define("cache-entries", "128",
                "LRU result-cache capacity in entries (0 = no cache)");
   flags.define("default-deadline-ms", "0",
@@ -307,11 +308,6 @@ int main(int argc, char** argv) {
                "dijkstra | delta-stepping | self-tuning");
   flags.define("set-point", "20000",
                "default self-tuning parallelism target");
-  flags.define("batch-max", "8",
-               "coalesce up to this many compatible queued near-far "
-               "queries into one batched run (1 disables)");
-  flags.define("batch-strategy", "independent",
-               "batched run strategy: fused | independent");
   flags.define("sample-reports", "0",
                "publish the full per-iteration trace of the first N "
                "freshly solved queries in the run report");
@@ -393,11 +389,6 @@ int main(int argc, char** argv) {
     options.verify_default = flags.get_bool("verify");
     options.default_algorithm = flags.get_string("default-algorithm");
     options.set_point = flags.get_double("set-point");
-    options.batch_max =
-        std::max<std::size_t>(1, static_cast<std::size_t>(
-                                     flags.get_int("batch-max")));
-    options.batch_strategy =
-        algo::parse_batch_strategy(flags.get_string("batch-strategy"));
     options.sample_reports =
         static_cast<std::size_t>(flags.get_int("sample-reports"));
     options.cache_max_bytes =
@@ -451,8 +442,6 @@ int main(int argc, char** argv) {
           "--verify", options.verify_default ? "true" : "false",
           "--default-algorithm", options.default_algorithm,
           "--set-point", flags.get_string("set-point"),
-          "--batch-max", flags.get_string("batch-max"),
-          "--batch-strategy", flags.get_string("batch-strategy"),
           "--threads", flags.get_string("threads"),
           "--cache-max-mb", flags.get_string("cache-max-mb"),
           "--scrub-interval-ms", flags.get_string("scrub-interval-ms"),
