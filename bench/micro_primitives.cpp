@@ -58,23 +58,18 @@ void BM_AdvanceFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_AdvanceFilter)->Unit(benchmark::kMillisecond);
 
-// The edge-balanced-partitioning claim (docs/PERFORMANCE.md): on a
-// skewed-degree (R-MAT) graph, vertex-balanced chunks strand whole hubs
-// in one chunk and serialize the iteration on it, while edge-balanced
-// chunks cut the frontier by its degree prefix sums so every chunk owns
-// ~equal edges. Mode 0 = serial reference, 1 = parallel vertex-balanced,
-// 2 = parallel edge-balanced; all three produce bit-identical results.
-// Pool size comes from SSSP_THREADS (or hardware).
+// Serial vs parallel advance over whole sweeps: on a skewed-degree
+// (R-MAT) graph the parallel pipeline's edge-balanced chunks (cut by
+// the frontier's degree prefix sums, docs/PERFORMANCE.md) keep hubs
+// from serializing an iteration; on a road graph frontiers are small.
+// Mode 0 = serial reference, 1 = parallel; both produce bit-identical
+// distances and parents. Pool size comes from SSSP_THREADS (or
+// hardware).
 void advance_sweep(benchmark::State& state, const graph::CsrGraph& g) {
   const auto src = graph::max_degree_vertex(g);
   frontier::NearFarEngine::Options options;
   options.parallel = state.range(0) != 0;
   options.parallel_threshold = 1;  // measure the pipeline, not the gate
-  options.partition = state.range(0) == 1
-                          ? frontier::NearFarEngine::Options::Partition::
-                                kVertexBalanced
-                          : frontier::NearFarEngine::Options::Partition::
-                                kEdgeBalanced;
   for (auto _ : state) {
     frontier::NearFarEngine engine(g, src, options);
     std::uint64_t edges = 0;
@@ -91,7 +86,7 @@ void BM_AdvanceSweepRmat(benchmark::State& state) {
   advance_sweep(state, rmat_graph());
 }
 BENCHMARK(BM_AdvanceSweepRmat)
-    ->Arg(0)->Arg(1)->Arg(2)
+    ->Arg(0)->Arg(1)
     ->ArgName("mode")
     ->Unit(benchmark::kMillisecond);
 
@@ -99,7 +94,7 @@ void BM_AdvanceSweepRoad(benchmark::State& state) {
   advance_sweep(state, road_graph());
 }
 BENCHMARK(BM_AdvanceSweepRoad)
-    ->Arg(0)->Arg(1)->Arg(2)
+    ->Arg(0)->Arg(1)
     ->ArgName("mode")
     ->Unit(benchmark::kMillisecond);
 

@@ -42,6 +42,8 @@ void Failpoint::arm(Mode mode, double probability, std::uint64_t period,
     period_ = period;
     rng_state_ = seed;
   }
+  hits_.store(0, std::memory_order_relaxed);
+  fires_.store(0, std::memory_order_relaxed);
   mode_.store(mode, std::memory_order_relaxed);
 }
 

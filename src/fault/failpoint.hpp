@@ -64,13 +64,16 @@ class Failpoint {
     return evaluate();
   }
 
+  // Arming resets the hit/fire counters, so an every-Nth failpoint
+  // fires on the Nth hit after arming, however often it was armed
+  // before.
   void arm(Mode mode, double probability = 1.0, std::uint64_t period = 1,
            std::uint64_t seed = 0);
   void disarm();
 
   const std::string& name() const noexcept { return name_; }
   Mode mode() const noexcept { return mode_.load(std::memory_order_relaxed); }
-  // Hits/fires are only counted while armed.
+  // Hits/fires are only counted while armed, from the last arm().
   std::uint64_t hits() const noexcept {
     return hits_.load(std::memory_order_relaxed);
   }
@@ -144,7 +147,7 @@ class FailpointRegistry {
   void arm_from_env();
 
   // Disarms every failpoint and turns the global gate off. Hit/fire
-  // counters are preserved for post-run inspection.
+  // counters are preserved for post-run inspection until the next arm.
   void disarm_all();
 
   // Status of every registered failpoint (armed or not), name-sorted.
@@ -155,7 +158,7 @@ class FailpointRegistry {
   // Applies captured counters/streams by name (find-or-create). Arming
   // is not changed: the resuming process re-arms from its own specs.
   void restore_runtime(const std::vector<FailpointRuntime>& runtimes);
-  // Total fires across all failpoints since process start.
+  // Total fires across all failpoints, each counted since its last arm.
   std::uint64_t total_fires() const;
 
   // Process-wide registry used by SSSP_FAILPOINT sites.

@@ -43,9 +43,6 @@ struct EngineMetrics {
   }
 };
 
-constexpr std::size_t kChunksPerThread = 8;   // oversubscription for claiming
-constexpr std::size_t kRangesPerThread = 4;   // uniform-cost scan phases
-
 // Headroom-checked high-water reserve (docs/ROBUSTNESS.md, "Resource
 // budgets & exhaustion"): when the budget refuses, the reserve is
 // skipped and the vector grows on demand — amortized-correct, just
@@ -200,13 +197,8 @@ std::uint64_t NearFarEngine::plan_chunks() {
   // this snapshot, so mid-iteration improvements of a frontier vertex
   // never leak into the same iteration — that is what makes the
   // results schedule-independent).
-  PlanParams params;
-  params.partition = options_.partition;
-  params.min_chunk_edges = options_.min_chunk_edges;
-  params.chunks_per_thread = kChunksPerThread;
-  params.ranges_per_thread = kRangesPerThread;
   const std::uint64_t x2 = build_frontier_plan(
-      *graph_, frontier_, params, edge_prefix_, chunk_begin_, range_base_,
+      *graph_, frontier_, edge_prefix_, chunk_begin_, range_base_,
       [&](std::size_t i, graph::VertexId u) { frontier_dist_[i] = dist_[u]; });
   if (obs::metrics_enabled()) {
     EngineMetrics& m = EngineMetrics::get();
@@ -240,18 +232,26 @@ NearFarEngine::AdvanceResult NearFarEngine::advance_parallel() {
 
   // Phase A — relax: atomic-min every edge's proposed distance into
   // dist_, claim each improved vertex exactly once via an epoch CAS on
-  // the mark array. The claim *set* is schedule-independent (v is
-  // claimed iff some edge beats its iteration-start distance); which
-  // thread claims is not, so ordering is resolved in phases B1/B2.
+  // the mark array, and log every edge whose proposal met or beat the
+  // target's distance when it ran (a CAS win or a tie) in the chunk's
+  // candidate list, in rank order. Distances only fall, so every edge
+  // that achieves a target's final distance is logged. The claim *set*
+  // is schedule-independent (v is claimed iff some edge beats its
+  // iteration-start distance); which thread claims is not, and neither
+  // is the log, so ordering is resolved in phases B1/B2.
+  chunk_candidates_.resize(std::max(chunk_candidates_.size(), num_chunks));
   {
     SSSP_TRACE_SPAN("advance.relax");
     SSSP_PROF_PHASE("advance.relax");
     pool.for_each_chunk(num_chunks, [&](std::size_t c, std::size_t tid) {
+      auto& candidates = chunk_candidates_[c];
+      candidates.clear();
       const std::size_t begin = chunk_begin_[c];
       const std::size_t end = chunk_begin_[c + 1];
       for (std::size_t i = begin; i < end; ++i) {
         const graph::VertexId u = frontier_[i];
         const graph::Distance du = frontier_dist_[i];
+        const std::uint64_t base = edge_prefix_[i];
         const auto neighbors = graph_->neighbors(u);
         const auto weights = graph_->weights_of(u);
         for (std::size_t e = 0; e < neighbors.size(); ++e) {
@@ -267,6 +267,8 @@ NearFarEngine::AdvanceResult NearFarEngine::advance_parallel() {
               break;
             }
           }
+          if (!improved && nd != current) continue;
+          candidates.push_back({base + e, nd, v, u});
           if (!improved) continue;
           std::atomic_ref<std::uint32_t> mark(mark_[v]);
           std::uint32_t seen = mark.load(std::memory_order_relaxed);
@@ -289,43 +291,31 @@ NearFarEngine::AdvanceResult NearFarEngine::advance_parallel() {
   if (options_.control != nullptr && options_.control->should_abort())
     throw util::StopRequested(options_.control->reason());
 
-  // Phase B1 — candidates: distances are final now, so re-walk the
-  // edges and record every relaxation that achieved its target's final
-  // distance, atomic-min-ing the canonical edge rank (frontier order ×
-  // adjacency order) into the winner slot. Both the per-chunk candidate
-  // lists and the winner ranks are pure functions of iteration-start
-  // state — no schedule dependence survives this phase.
+  // Phase B1 — candidates: distances are final now, so compact each
+  // chunk's log in place down to the relaxations that achieved their
+  // claimed target's final distance, atomic-min-ing the canonical edge
+  // rank (frontier order × adjacency order) into the winner slot. The
+  // log is a superset of those relaxations and keeps rank order, so
+  // the compacted lists and the winner ranks are pure functions of
+  // iteration-start state — no schedule dependence survives this phase.
   {
     SSSP_TRACE_SPAN("advance.candidates");
     SSSP_PROF_PHASE("advance.candidates");
-    chunk_candidates_.resize(
-        std::max(chunk_candidates_.size(), num_chunks));
     pool.for_each_chunk(num_chunks, [&](std::size_t c, std::size_t) {
       auto& candidates = chunk_candidates_[c];
-      candidates.clear();
-      const std::size_t begin = chunk_begin_[c];
-      const std::size_t end = chunk_begin_[c + 1];
-      for (std::size_t i = begin; i < end; ++i) {
-        const graph::VertexId u = frontier_[i];
-        const graph::Distance du = frontier_dist_[i];
-        const std::uint64_t base = edge_prefix_[i];
-        const auto neighbors = graph_->neighbors(u);
-        const auto weights = graph_->weights_of(u);
-        for (std::size_t e = 0; e < neighbors.size(); ++e) {
-          const graph::VertexId v = neighbors[e];
-          if (mark_[v] != epoch_) continue;  // not improved this iteration
-          const graph::Distance nd = util::saturating_add(du, weights[e]);
-          if (nd != dist_[v]) continue;  // does not achieve the final value
-          const std::uint64_t rank = base + e;
-          std::atomic_ref<std::uint64_t> w(winner_[v]);
-          std::uint64_t cur = w.load(std::memory_order_relaxed);
-          while (rank < cur &&
-                 !w.compare_exchange_weak(cur, rank,
-                                          std::memory_order_relaxed)) {
-          }
-          candidates.push_back({rank, v, u});
+      std::size_t kept = 0;
+      for (const Candidate& cand : candidates) {
+        if (mark_[cand.v] != epoch_) continue;  // not improved this iteration
+        if (cand.nd != dist_[cand.v]) continue;  // not the final value
+        std::atomic_ref<std::uint64_t> w(winner_[cand.v]);
+        std::uint64_t cur = w.load(std::memory_order_relaxed);
+        while (cand.rank < cur &&
+               !w.compare_exchange_weak(cur, cand.rank,
+                                        std::memory_order_relaxed)) {
         }
+        candidates[kept++] = cand;
       }
+      candidates.resize(kept);
     });
   }
 

@@ -51,20 +51,6 @@ class NearFarEngine {
     bool parallel = false;
     std::size_t parallel_threshold = 4096;
 
-    // Work partitioning for parallel phases (frontier/plan.hpp).
-    // Edge-balanced chunks are cut by binary-searching the frontier's
-    // degree prefix sums so each chunk owns ~equal *edges* — on
-    // skewed-degree (scale-free) graphs vertex-balanced chunks leave
-    // whole hubs in one chunk and serialize the iteration on it.
-    // Results are identical either way; only wall-clock differs
-    // (bench/micro_primitives.cpp measures).
-    using Partition = frontier::Partition;
-    Partition partition = Partition::kEdgeBalanced;
-
-    // Minimum edges per chunk (grain): below this, chunk-claiming
-    // overhead dominates the work.
-    std::size_t min_chunk_edges = 2048;
-
     // Cooperative cancellation (docs/ROBUSTNESS.md): when set, advance
     // and bisect poll should_abort() at stage boundaries (and every few
     // thousand serial vertices) and throw util::StopRequested. A
@@ -132,10 +118,6 @@ class NearFarEngine {
   const std::vector<graph::VertexId>& parents() const noexcept {
     return parent_;
   }
-  // Historical API: parallel advances once invalidated parents (they
-  // had to be re-derived from distances). The deterministic pipeline
-  // maintains them in every mode, so this is now always true.
-  bool parents_valid() const noexcept { return true; }
   graph::Distance distance(graph::VertexId v) const { return dist_[v]; }
   const graph::CsrGraph& graph() const noexcept { return *graph_; }
   graph::VertexId source() const noexcept { return source_; }
@@ -192,8 +174,8 @@ class NearFarEngine {
   bool parallel_scratch_fits() noexcept;
 
   // Computes edge_prefix_ / frontier_dist_ over the current frontier
-  // and cuts chunk_begin_ according to options_.partition, via the
-  // planner (frontier/plan.hpp). Returns X2 (total edges).
+  // and cuts edge-balanced chunk_begin_, via the planner
+  // (frontier/plan.hpp). Returns X2 (total edges).
   std::uint64_t plan_chunks();
 
   // Stable-partitions `input` by distance < threshold: vertices below
@@ -223,6 +205,7 @@ class NearFarEngine {
   // reused every iteration to avoid per-call allocation churn) ---
   struct Candidate {
     std::uint64_t rank;   // canonical edge rank (frontier order)
+    graph::Distance nd;   // distance this edge proposed
     graph::VertexId v;    // relaxation target
     graph::VertexId u;    // relaxation source (parent if this edge wins)
   };
@@ -230,7 +213,7 @@ class NearFarEngine {
   std::vector<graph::Distance> frontier_dist_;  // iteration-start du snapshot
   std::vector<std::size_t> chunk_begin_;        // frontier-index chunk bounds
   std::vector<std::uint64_t> winner_;  // per-vertex min winning edge rank
-  std::vector<std::vector<Candidate>> chunk_candidates_;
+  std::vector<std::vector<Candidate>> chunk_candidates_;  // relax logs
   std::vector<std::uint64_t> chunk_counts_;   // per-chunk count scratch
   std::vector<std::uint64_t> chunk_counts2_;  // second counter (partitions)
   std::vector<std::uint64_t> chunk_offsets_;

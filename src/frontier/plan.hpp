@@ -5,13 +5,12 @@
 //
 //   edge_prefix[i]  exclusive prefix sum of the frontier's out-degrees
 //                   (edge_prefix[|F|] == X2, the edge work volume);
-//   chunk_begin[c]  frontier-index chunk boundaries. Edge-balanced cuts
-//                   binary-search the degree prefix for multiples of a
+//   chunk_begin[c]  frontier-index chunk boundaries, cut by binary-
+//                   searching the degree prefix for multiples of a
 //                   per-chunk edge budget, so each chunk owns ~equal
-//                   *edges* — on skewed-degree graphs vertex-balanced
-//                   chunks leave whole hubs in one chunk and serialize
-//                   the iteration on it. Vertex-balanced cuts (equal
-//                   index ranges) are kept for comparison benches.
+//                   *edges* — on skewed-degree graphs equal index
+//                   ranges would leave whole hubs in one chunk and
+//                   serialize the iteration on it.
 //
 // Chunking only affects scheduling: the deterministic pipelines built
 // on top (count → exclusive-prefix-sum → write merges) produce results
@@ -29,21 +28,17 @@
 
 namespace sssp::frontier {
 
-enum class Partition { kEdgeBalanced, kVertexBalanced };
-
-struct PlanParams {
-  Partition partition = Partition::kEdgeBalanced;
-  // Minimum edges per chunk (grain): below this, chunk-claiming
-  // overhead dominates the work.
-  std::size_t min_chunk_edges = 2048;
-  // Oversubscription factors (chunks for dynamic claiming, ranges for
-  // the uniform-cost prefix-sum passes).
-  std::size_t chunks_per_thread = 8;
-  std::size_t ranges_per_thread = 4;
-};
+// Minimum edges per chunk (grain): below this, chunk-claiming overhead
+// dominates the work.
+inline constexpr std::size_t kMinChunkEdges = 2048;
+// Oversubscription factors: chunks per pool thread for dynamic
+// claiming, and ranges per pool thread for uniform-cost scan passes
+// (the prefix sum here, the engine's stable partitions).
+inline constexpr std::size_t kChunksPerThread = 8;
+inline constexpr std::size_t kRangesPerThread = 4;
 
 // Builds the plan over `frontier` on the global pool: a parallel
-// two-pass degree prefix sum, then chunk cuts per params.partition.
+// two-pass degree prefix sum, then the edge-balanced chunk cuts.
 // `snapshot(i, u)` is invoked exactly once per frontier index inside
 // the first pass — callers use it to snapshot iteration-start state
 // (e.g. distance rows) in the same sweep instead of paying a second
@@ -52,7 +47,6 @@ struct PlanParams {
 template <typename Snapshot>
 std::uint64_t build_frontier_plan(const graph::CsrGraph& graph,
                                   std::span<const graph::VertexId> frontier,
-                                  const PlanParams& params,
                                   std::vector<std::uint64_t>& edge_prefix,
                                   std::vector<std::size_t>& chunk_begin,
                                   std::vector<std::uint64_t>& range_scratch,
@@ -62,7 +56,7 @@ std::uint64_t build_frontier_plan(const graph::CsrGraph& graph,
   edge_prefix.resize(x1 + 1);
 
   const std::size_t ranges = std::max<std::size_t>(
-      1, std::min(x1, pool.size() * params.ranges_per_thread));
+      1, std::min(x1, pool.size() * kRangesPerThread));
   const std::size_t per = (x1 + ranges - 1) / ranges;
   range_scratch.assign(ranges, 0);
   edge_prefix[0] = 0;
@@ -95,27 +89,19 @@ std::uint64_t build_frontier_plan(const graph::CsrGraph& graph,
 
   chunk_begin.clear();
   chunk_begin.push_back(0);
-  if (params.partition == Partition::kVertexBalanced) {
-    const std::size_t chunks = std::max<std::size_t>(
-        1, std::min(x1, pool.size() * params.chunks_per_thread));
-    const std::size_t cper = (x1 + chunks - 1) / chunks;
-    for (std::size_t b = cper; b < x1; b += cper) chunk_begin.push_back(b);
-  } else {
-    const std::uint64_t budget = std::max<std::uint64_t>(
-        params.min_chunk_edges,
-        x2 / std::max<std::size_t>(1, pool.size() * params.chunks_per_thread) +
-            1);
-    while (chunk_begin.back() < x1) {
-      const std::uint64_t target = edge_prefix[chunk_begin.back()] + budget;
-      if (target >= x2) break;
-      const auto it = std::lower_bound(
-          edge_prefix.begin() +
-              static_cast<std::ptrdiff_t>(chunk_begin.back() + 1),
-          edge_prefix.begin() + static_cast<std::ptrdiff_t>(x1), target);
-      const auto idx = static_cast<std::size_t>(it - edge_prefix.begin());
-      if (idx >= x1) break;
-      chunk_begin.push_back(idx);
-    }
+  const std::uint64_t budget = std::max<std::uint64_t>(
+      kMinChunkEdges, x2 / std::max<std::size_t>(
+                               1, pool.size() * kChunksPerThread) + 1);
+  while (chunk_begin.back() < x1) {
+    const std::uint64_t target = edge_prefix[chunk_begin.back()] + budget;
+    if (target >= x2) break;
+    const auto it = std::lower_bound(
+        edge_prefix.begin() +
+            static_cast<std::ptrdiff_t>(chunk_begin.back() + 1),
+        edge_prefix.begin() + static_cast<std::ptrdiff_t>(x1), target);
+    const auto idx = static_cast<std::size_t>(it - edge_prefix.begin());
+    if (idx >= x1) break;
+    chunk_begin.push_back(idx);
   }
   chunk_begin.push_back(x1);
   return x2;

@@ -53,17 +53,23 @@ std::vector<graph::VertexId> derive_parents(
     const std::vector<graph::Distance>& distances, graph::VertexId source) {
   const std::size_t n = graph.num_vertices();
   std::vector<graph::VertexId> parents(n, graph::kInvalidVertex);
-  if (source < n && distances[source] == 0) parents[source] = source;
-  for (graph::VertexId u = 0; u < n; ++u) {
+  if (source >= n || distances[source] != 0) return parents;
+  // BFS over tight edges: a vertex gets its parent when first reached,
+  // and every parent was reached before it, so no parent cycle can form
+  // even across zero-weight cycles.
+  parents[source] = source;
+  std::vector<graph::VertexId> queue{source};
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const graph::VertexId u = queue[head];
     const graph::Distance du = distances[u];
-    if (du == graph::kInfiniteDistance) continue;
     const auto neighbors = graph.neighbors(u);
     const auto weights = graph.weights_of(u);
     for (std::size_t i = 0; i < neighbors.size(); ++i) {
       const graph::VertexId v = neighbors[i];
-      if (v != source && parents[v] == graph::kInvalidVertex &&
+      if (parents[v] == graph::kInvalidVertex &&
           du + weights[i] == distances[v]) {
         parents[v] = u;
+        queue.push_back(v);
       }
     }
   }

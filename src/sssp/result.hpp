@@ -67,9 +67,11 @@ std::vector<graph::VertexId> reconstruct_path(const SsspResult& result,
                                               graph::VertexId target);
 
 // Derives a valid shortest-path tree from settled distances in one
-// serial edge sweep: any edge u->v with dist[u] + w == dist[v] closes
-// v. Used by parallel algorithms whose in-flight parent writes could
-// disagree with the final distances.
+// serial BFS from the source over tight edges (u->v with dist[u] + w ==
+// dist[v]): each vertex's parent is the tight edge that first reaches
+// it, so zero-weight cycles cannot become parent cycles. Used by
+// parallel algorithms whose in-flight parent writes could disagree with
+// the final distances.
 std::vector<graph::VertexId> derive_parents(
     const graph::CsrGraph& graph,
     const std::vector<graph::Distance>& distances, graph::VertexId source);

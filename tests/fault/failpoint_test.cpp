@@ -105,6 +105,21 @@ TEST_F(FailpointTest, MalformedSpecsThrow) {
   EXPECT_THROW(registry.arm("name=0.5,xyz"), std::invalid_argument);
 }
 
+TEST_F(FailpointTest, RearmingRestartsTheEveryNthCount) {
+  FailpointRegistry& registry = FailpointRegistry::global();
+  registry.arm("test.rearm=3");
+  EXPECT_FALSE(SSSP_FAILPOINT("test.rearm"));  // hit 1
+  EXPECT_FALSE(SSSP_FAILPOINT("test.rearm"));  // hit 2
+  registry.disarm_all();
+  registry.arm("test.rearm=3");
+  EXPECT_FALSE(SSSP_FAILPOINT("test.rearm"));  // hit 1 after re-arming
+  EXPECT_FALSE(SSSP_FAILPOINT("test.rearm"));  // hit 2
+  EXPECT_TRUE(SSSP_FAILPOINT("test.rearm"));   // hit 3
+  const Failpoint& fp = registry.failpoint("test.rearm");
+  EXPECT_EQ(fp.hits(), 3u);
+  EXPECT_EQ(fp.fires(), 1u);
+}
+
 TEST_F(FailpointTest, ArmFromEnvReadsSsspFailpoint) {
   ASSERT_EQ(setenv("SSSP_FAILPOINT", "test.env=2", 1), 0);
   FailpointRegistry::global().arm_from_env();
@@ -122,9 +137,9 @@ TEST_F(FailpointTest, RegistryReferencesAreStable) {
 }
 
 TEST_F(FailpointTest, TotalFiresAggregatesAcrossFailpoints) {
-  const std::uint64_t before = FailpointRegistry::global().total_fires();
   FailpointRegistry::global().arm("test.agg1");
   FailpointRegistry::global().arm("test.agg2");
+  const std::uint64_t before = FailpointRegistry::global().total_fires();
   (void)SSSP_FAILPOINT("test.agg1");
   (void)SSSP_FAILPOINT("test.agg2");
   (void)SSSP_FAILPOINT("test.agg2");

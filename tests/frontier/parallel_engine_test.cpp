@@ -3,8 +3,8 @@
 // prefix-sum → write over canonical edge ranks, so the updated
 // frontier's ORDERING, the per-iteration X1/X2/X3 statistics, the
 // parent tree, and the distances are all bit-identical at any thread
-// count, any chunking mode, and any schedule — not merely "distances
-// exact". These tests pin that contract.
+// count, any chunking, and any schedule — not merely "distances exact".
+// These tests pin that contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 
 #include "fault/failpoint.hpp"
 #include "frontier/engine.hpp"
+#include "graph/builder.hpp"
 #include "graph/types.hpp"
 #include "tests/sssp/test_graphs.hpp"
 #include "util/thread_pool.hpp"
@@ -98,24 +99,6 @@ TEST_P(ParallelEngineTest, ParallelSweepBitIdenticalAcrossThreadCounts) {
   util::ThreadPool::set_global_threads(0);
 }
 
-TEST_P(ParallelEngineTest, PartitionModeDoesNotChangeResults) {
-  const std::uint64_t seed = GetParam();
-  const auto g = algo::testing::random_graph(3000, 6.0, 99, seed ^ 0xABC);
-  util::ThreadPool::set_global_threads(4);
-  NearFarEngine::Options options{.parallel = true, .parallel_threshold = 1};
-  options.partition = NearFarEngine::Options::Partition::kEdgeBalanced;
-  const SweepTrace edge_balanced = run_sweep(g, 0, options);
-  options.partition = NearFarEngine::Options::Partition::kVertexBalanced;
-  const SweepTrace vertex_balanced = run_sweep(g, 0, options);
-  // Chunk grain changes results... never. Only wall-clock.
-  options.min_chunk_edges = 1;
-  options.partition = NearFarEngine::Options::Partition::kEdgeBalanced;
-  const SweepTrace fine_grained = run_sweep(g, 0, options);
-  EXPECT_EQ(vertex_balanced, edge_balanced);
-  EXPECT_EQ(fine_grained, edge_balanced);
-  util::ThreadPool::set_global_threads(0);
-}
-
 TEST_P(ParallelEngineTest, ParallelSweepDistancesExact) {
   const std::uint64_t seed = GetParam();
   const auto g = algo::testing::random_graph(3000, 6.0, 99, seed);
@@ -153,20 +136,6 @@ TEST_P(ParallelEngineTest, MixedModeDistancesExact) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelEngineTest,
                          ::testing::Values(1, 2, 3, 4, 5));
 
-TEST(ParallelEngine, ParentsStayValidInEveryMode) {
-  const auto g = algo::testing::random_graph(6000, 5.0, 99, 8);
-  NearFarEngine serial_engine(g, 0, {.parallel = false});
-  EXPECT_TRUE(serial_engine.parents_valid());
-
-  NearFarEngine parallel_engine(g, 0,
-                                {.parallel = true, .parallel_threshold = 1});
-  EXPECT_TRUE(parallel_engine.parents_valid());
-  parallel_engine.advance_and_filter();
-  // The deterministic pipeline maintains parents during the advance —
-  // the historical "re-derive after parallel runs" caveat is gone.
-  EXPECT_TRUE(parallel_engine.parents_valid());
-}
-
 TEST(ParallelEngine, UpdatedFrontierIsDuplicateFree) {
   const auto g = algo::testing::random_graph(4000, 8.0, 9, 3);
   NearFarEngine engine(g, 0, {.parallel = true, .parallel_threshold = 1});
@@ -181,10 +150,73 @@ TEST(ParallelEngine, UpdatedFrontierIsDuplicateFree) {
   }
 }
 
+// Unit-weight layered complete bipartite digraph: the source feeds
+// every vertex of layer 0, and every vertex of layer l feeds every
+// vertex of layer l + 1, so each vertex past layer 0 is reached by
+// `width` equally short edges spread over many chunks. The first vertex
+// of each layer — the first of its frontier — also carries `back_edges`
+// parallel edges to the source, listed ahead of its forward edges.
+// They never improve anything, but they hold back the thread that walks
+// the rank-first achieving edges, so at pool sizes above one the other
+// chunks usually win the CASes on the next layer and the rank-first
+// edges only tie.
+graph::CsrGraph layered_bipartite(graph::VertexId layers,
+                                  graph::VertexId width,
+                                  graph::VertexId back_edges) {
+  std::vector<graph::Edge> edges;
+  for (graph::VertexId b = 0; b < width; ++b) edges.push_back({0, 1 + b, 1});
+  for (graph::VertexId l = 0; l < layers; ++l) {
+    const graph::VertexId first = 1 + l * width;
+    for (graph::VertexId k = 0; k < back_edges; ++k)
+      edges.push_back({first, 0, 1});
+    if (l + 1 == layers) continue;
+    for (graph::VertexId a = 0; a < width; ++a)
+      for (graph::VertexId b = 0; b < width; ++b)
+        edges.push_back({first + a, first + width + b, 1});
+  }
+  return graph::build_csr(1 + layers * width, std::move(edges));
+}
+
+// Runs one advance and checks the merge contract, recomputed from first
+// principles: the updated frontier is ordered by each vertex's winning
+// edge rank (frontier position × adjacency order) — the first edge that
+// achieves its final, improved distance — that edge's source is the
+// vertex's parent, and improving_relaxations counts every achieving
+// edge, ties included.
+void expect_winning_edge_rank_step(const graph::CsrGraph& g,
+                                   NearFarEngine& engine) {
+  const std::vector<graph::VertexId> frontier(engine.frontier().begin(),
+                                              engine.frontier().end());
+  const std::vector<graph::Distance> dist_before = engine.distances();
+  const auto advance = engine.advance_and_filter();
+  const auto& dist_after = engine.distances();
+
+  std::vector<graph::VertexId> expected;
+  std::uint64_t achieving = 0;
+  std::vector<char> emitted(g.num_vertices(), 0);
+  for (const graph::VertexId u : frontier) {
+    const auto neighbors = g.neighbors(u);
+    const auto weights = g.weights_of(u);
+    for (std::size_t i = 0; i < neighbors.size(); ++i) {
+      const graph::VertexId v = neighbors[i];
+      if (dist_after[v] >= dist_before[v] ||
+          dist_before[u] + weights[i] != dist_after[v])
+        continue;
+      ++achieving;
+      if (emitted[v]) continue;
+      emitted[v] = 1;
+      expected.push_back(v);
+      EXPECT_EQ(engine.parents()[v], u) << "vertex " << v;
+    }
+  }
+  EXPECT_EQ(advance.improving_relaxations, achieving);
+  engine.bisect(kInfiniteDistance);
+  const std::vector<graph::VertexId> actual(engine.frontier().begin(),
+                                            engine.frontier().end());
+  EXPECT_EQ(actual, expected);
+}
+
 TEST(ParallelEngine, UpdatedFrontierOrderIsWinningEdgeRankOrder) {
-  // The merge contract: the updated frontier is ordered by each
-  // vertex's winning edge rank (frontier position × adjacency order).
-  // Recompute the expected order from first principles for one step.
   const auto g = algo::testing::random_graph(2000, 7.0, 50, 11);
   util::ThreadPool::set_global_threads(4);
 
@@ -194,34 +226,22 @@ TEST(ParallelEngine, UpdatedFrontierOrderIsWinningEdgeRankOrder) {
     engine.advance_and_filter();
     engine.bisect(kInfiniteDistance);
   }
-  if (engine.frontier_empty()) GTEST_SKIP() << "graph too small";
+  ASSERT_FALSE(engine.frontier_empty()) << "graph too small";
+  expect_winning_edge_rank_step(g, engine);
 
-  const std::vector<graph::VertexId> frontier(engine.frontier().begin(),
-                                              engine.frontier().end());
-  const std::vector<graph::Distance> dist_before = engine.distances();
-  engine.advance_and_filter();
-  const auto& dist_after = engine.distances();
-
-  // Expected order: walk frontier × adjacency in rank order; a vertex is
-  // emitted at the first edge achieving its final (improved) distance.
-  std::vector<graph::VertexId> expected;
-  std::vector<char> emitted(g.num_vertices(), 0);
-  for (const graph::VertexId u : frontier) {
-    const auto neighbors = g.neighbors(u);
-    const auto weights = g.weights_of(u);
-    for (std::size_t i = 0; i < neighbors.size(); ++i) {
-      const graph::VertexId v = neighbors[i];
-      if (emitted[v] || dist_after[v] >= dist_before[v]) continue;
-      if (dist_before[u] + weights[i] == dist_after[v]) {
-        emitted[v] = 1;
-        expected.push_back(v);
-      }
-    }
+  // Tie-heavy input: every later-layer vertex is reached by hundreds of
+  // equal-distance edges racing from different chunks, so the winner
+  // must be the first achieving edge in rank order, not the first one
+  // whose CAS landed.
+  const auto ties = layered_bipartite(3, 256, 1u << 20);
+  for (const std::size_t threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    util::ThreadPool::set_global_threads(threads);
+    NearFarEngine tie_engine(ties, 0,
+                             {.parallel = true, .parallel_threshold = 1});
+    while (!tie_engine.frontier_empty())
+      expect_winning_edge_rank_step(ties, tie_engine);
   }
-  engine.bisect(kInfiniteDistance);
-  const std::vector<graph::VertexId> actual(engine.frontier().begin(),
-                                            engine.frontier().end());
-  EXPECT_EQ(actual, expected);
   util::ThreadPool::set_global_threads(0);
 }
 

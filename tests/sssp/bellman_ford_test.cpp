@@ -54,6 +54,22 @@ TEST(BellmanFord, StatsAreConsistent) {
   EXPECT_GE(r.improving_relaxations, r.reached_count() - 1);
 }
 
+TEST(BellmanFord, ZeroWeightCycleYieldsAcyclicParents) {
+  // 2 -0-> 0, 0 -0-> 1, 1 -0-> 0: every vertex sits at distance 0 and
+  // the 0 <-> 1 cycle is tight in both directions.
+  const auto g = graph::build_csr(3, {{2, 0, 0}, {0, 1, 0}, {1, 0, 0}});
+  const SsspResult r = bellman_ford(g, 2);
+  EXPECT_EQ(r.distances, dijkstra_distances(g, 2));
+  EXPECT_EQ(count_tree_violations(g, r), 0u);
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+    std::vector<graph::VertexId> path;
+    ASSERT_NO_THROW(path = reconstruct_path(r, v)) << "vertex " << v;
+    ASSERT_FALSE(path.empty()) << "vertex " << v;
+    EXPECT_EQ(path.front(), 2u);
+    EXPECT_EQ(path.back(), v);
+  }
+}
+
 TEST(BellmanFord, SourceOnlyGraph) {
   const auto g = graph::build_csr(3, {});
   const SsspResult r = bellman_ford(g, 1);
