@@ -628,22 +628,10 @@ std::uint64_t save_checkpoint_file(const std::string& path,
   // Scratch-disk budget gate: refuse a checkpoint that would not fit
   // the configured scratch allowance before writing a byte (structured
   // ResourceError → kExitResourceBudget, previous checkpoint intact).
-  // The charge is released after the write: the budget bounds the
-  // write in flight, not the long-term footprint of one file that
-  // keeps being replaced in place.
-  auto& budget = res::ResourceBudget::global();
-  if (!budget.try_charge_scratch(bytes.size(), "res.ckpt.scratch"))
-    throw res::ResourceError(res::ResourceKind::kScratch, "res.ckpt.scratch",
-                             bytes.size(),
-                             budget.scratch_limit() >= budget.scratch_used()
-                                 ? budget.scratch_limit() -
-                                       budget.scratch_used()
-                                 : 0);
-  struct ScratchRelease {
-    res::ResourceBudget& budget;
-    std::size_t bytes;
-    ~ScratchRelease() { budget.release_scratch(bytes); }
-  } scratch_release{budget, bytes.size()};
+  // The limit bounds one image, not the long-term footprint of the file
+  // that keeps being replaced in place.
+  res::ResourceBudget::global().require_scratch(bytes.size(),
+                                                "res.ckpt.scratch");
 
   // tmp+fsync+rename via util/atomic_file, which also handles short
   // writes, retries transient errors, and maps ENOSPC/EDQUOT to

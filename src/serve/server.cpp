@@ -169,11 +169,11 @@ void Server::submit(std::string_view line, ResponseSink sink) {
   // full queue. Inert unless a budget limit is configured or the
   // res.serve.admit failpoint is armed.
   {
+    // Per query: the solve's and the response's distance and parent
+    // arrays.
     const std::uint64_t footprint =
-        options_.query_footprint_bytes != 0
-            ? options_.query_footprint_bytes
-            : 2 * static_cast<std::uint64_t>(graph_.num_vertices()) *
-                  (sizeof(graph::Distance) + sizeof(graph::VertexId));
+        2 * static_cast<std::uint64_t>(graph_.num_vertices()) *
+        (sizeof(graph::Distance) + sizeof(graph::VertexId));
     const std::uint64_t projected =
         footprint * (in_flight_.load(std::memory_order_relaxed) +
                      queue_.depth() + 1);

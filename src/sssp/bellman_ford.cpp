@@ -1,5 +1,6 @@
 #include "sssp/bellman_ford.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <stdexcept>
@@ -80,7 +81,17 @@ SsspResult bellman_ford(const graph::CsrGraph& graph, graph::VertexId source,
     };
 
     if (options.parallel) {
-      util::parallel_for(frontier.size(), relax_range);
+      // size() * 4 ranges claimed dynamically, so threads that finish
+      // early keep pulling work.
+      auto& pool = util::ThreadPool::global();
+      const std::size_t n_front = frontier.size();
+      const std::size_t chunks = std::min(n_front, pool.size() * 4);
+      const std::size_t per = (n_front + chunks - 1) / chunks;
+      pool.for_each_chunk(chunks, [&](std::size_t chunk, std::size_t) {
+        const std::size_t begin = chunk * per;
+        if (begin < n_front)
+          relax_range(begin, std::min(n_front, begin + per));
+      });
     } else {
       relax_range(0, frontier.size());
     }

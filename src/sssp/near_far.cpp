@@ -7,6 +7,8 @@
 
 #include "frontier/engine.hpp"
 #include "frontier/far_queue.hpp"
+#include "obs/trace.hpp"
+#include "prof/profiler.hpp"
 
 namespace sssp::algo {
 
@@ -53,12 +55,18 @@ SsspResult near_far(const graph::CsrGraph& graph, graph::VertexId source,
     stats.improving_relaxations = advance.improving_relaxations;
 
     stats.x4 = engine.bisect(threshold);
-    far.push_bulk(engine.spill(), engine.distances());
-    engine.clear_spill();
+    {
+      SSSP_TRACE_SPAN("rebalance");
+      SSSP_PROF_PHASE("far_spill");
+      far.push_bulk(engine.spill(), engine.distances());
+      engine.clear_spill();
+    }
 
     // Stage 4 — bisect-far-queue: when the near queue is exhausted,
     // advance the phase to the first one containing live far work.
     if (engine.frontier_empty() && !far.empty()) {
+      SSSP_TRACE_SPAN("rebalance");
+      SSSP_PROF_PHASE("rebalance");
       const graph::Distance next_live = far.min_live_distance(engine.distances());
       stats.rebalance_items += far.size();
       if (next_live != graph::kInfiniteDistance) {

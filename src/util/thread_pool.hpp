@@ -15,7 +15,6 @@
 //                           body is a template parameter, so per-chunk
 //                           dispatch inlines (no std::function in the
 //                           hot path).
-//   parallel_for(n, body) — legacy range API over for_each_chunk.
 //
 // The frontier pipeline (frontier::NearFarEngine) runs its advance /
 // bisect / demote phases on this pool with a count → exclusive-prefix-
@@ -73,11 +72,6 @@ class ThreadPool {
     });
   }
 
-  // Runs body(begin, end) over [0, n) split into size()*4 roughly equal
-  // ranges claimed dynamically. Blocks until every range finishes.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& body);
-
   // Global pool shared by the library. Sized from the SSSP_THREADS env
   // var (default hardware_concurrency) on first use, reconfigurable via
   // set_global_threads (e.g. from a --threads flag).
@@ -105,10 +99,7 @@ class ThreadPool {
   std::uint64_t generation_ = 0;
 };
 
-// Convenience free functions over the global pool.
-void parallel_for(std::size_t n,
-                  const std::function<void(std::size_t, std::size_t)>& body);
-
+// Convenience free function over the global pool.
 template <typename Body>
 void for_each_chunk(std::size_t num_chunks, Body&& body) {
   ThreadPool::global().for_each_chunk(num_chunks, std::forward<Body>(body));

@@ -9,11 +9,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "core/self_tuning.hpp"
 #include "fault/failpoint.hpp"
 #include "graph/io_error.hpp"
+#include "res/budget.hpp"
 #include "tests/sssp/test_graphs.hpp"
 
 namespace sssp::ckpt {
@@ -51,6 +53,7 @@ class CheckpointFormatTest : public ::testing::Test {
   }
   void TearDown() override {
     fault::FailpointRegistry::global().disarm_all();
+    res::ResourceBudget::global().reset();
   }
 
   static graph::CsrGraph* graph_;
@@ -195,6 +198,31 @@ TEST_F(CheckpointFormatTest, CrashAfterTmpPreservesPreviousCheckpoint) {
   EXPECT_EQ(serialize_checkpoint(load_checkpoint_file(path)), *bytes_);
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
+}
+
+TEST_F(CheckpointFormatTest, ScratchLimitRefusesBeforeAnyByteIsWritten) {
+  const auto read_all = [](const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string path = temp_path("scratch.ckpt");
+  save_checkpoint_file(path, *state_);  // the previous good checkpoint
+  const std::string previous = read_all(path);
+  auto& budget = res::ResourceBudget::global();
+  budget.set_scratch_limit(bytes_->size() - 1);
+  try {
+    save_checkpoint_file(path, *state_);
+    FAIL() << "checkpoint over the scratch limit was written";
+  } catch (const res::ResourceError& e) {
+    EXPECT_EQ(e.kind(), res::ResourceKind::kScratch);
+    EXPECT_EQ(e.site(), "res.ckpt.scratch");
+    EXPECT_EQ(e.requested(), bytes_->size());
+  }
+  EXPECT_EQ(read_all(path), previous);
+  EXPECT_FALSE(file_exists(path + ".tmp"));
+  budget.reset();
+  EXPECT_EQ(save_checkpoint_file(path, *state_), bytes_->size());
+  std::remove(path.c_str());
 }
 
 TEST_F(CheckpointFormatTest, TornWriteLandsButNeverLoads) {

@@ -85,6 +85,7 @@ int main(int argc, char** argv) {
     tools::enable_observability(flags);
     tools::enable_faults(flags);
     tools::apply_resource_flags(flags);
+    tools::apply_checkpoint_flags(flags);
     if (!flags.get_string("flight-out").empty() ||
         flags.get_int("audit-every") > 0)
       verify::set_flight_enabled(true);

@@ -327,7 +327,7 @@ inline constexpr int kExitCrashLoop = 16;
 // partial file exists anywhere. Orchestrators should free disk and
 // retry (docs/ROBUSTNESS.md, "Resource budgets & exhaustion").
 inline constexpr int kExitDiskFull = 17;
-// A resource budget (memory/scratch/fd, res/budget.hpp) refused work
+// A resource budget (memory/scratch, res/budget.hpp) refused work
 // with no degradation path, or an allocation failed outright
 // (std::bad_alloc). State on disk is intact; rerun with a larger
 // budget or smaller input.
@@ -407,12 +407,6 @@ inline void define_resource_flags(util::Flags& flags) {
                "process memory budget for large allocations in MiB "
                "(0 = unlimited; also $SSSP_MEM_BUDGET_MB); oversize work "
                "is rejected or degraded, never OOM-killed");
-  flags.define("scratch-budget-mb", "0",
-               "scratch-disk budget for checkpoints/spills in MiB "
-               "(0 = unlimited; also $SSSP_SCRATCH_BUDGET_MB)");
-  flags.define("fd-headroom", "0",
-               "minimum free file descriptors to preserve under "
-               "RLIMIT_NOFILE (0 = default 16; also $SSSP_FD_HEADROOM)");
 }
 
 // Applies env defaults then flag overrides to the global budget. Call
@@ -424,14 +418,6 @@ inline void apply_resource_flags(const util::Flags& flags) {
     budget.set_memory_limit(static_cast<std::uint64_t>(mb) * 1024 * 1024);
   else if (mb < 0)
     throw std::runtime_error("--mem-budget-mb must be >= 0");
-  if (const std::int64_t mb = flags.get_int("scratch-budget-mb"); mb > 0)
-    budget.set_scratch_limit(static_cast<std::uint64_t>(mb) * 1024 * 1024);
-  else if (mb < 0)
-    throw std::runtime_error("--scratch-budget-mb must be >= 0");
-  if (const std::int64_t headroom = flags.get_int("fd-headroom"); headroom > 0)
-    budget.set_fd_headroom(static_cast<std::uint64_t>(headroom));
-  else if (headroom < 0)
-    throw std::runtime_error("--fd-headroom must be >= 0");
 }
 
 // Registers the checkpoint/resume flags. Call before handle_help().
@@ -446,6 +432,20 @@ inline void define_checkpoint_flags(util::Flags& flags) {
   flags.define("resume", "",
                "resume from this checkpoint file; the run continues the "
                "interrupted trajectory bit-exactly");
+  flags.define("scratch-budget-mb", "0",
+               "largest checkpoint image to write, in MiB; a bigger one "
+               "is refused with exit 18 before a byte is written "
+               "(0 = unlimited; also $SSSP_SCRATCH_BUDGET_MB)");
+}
+
+// Applies --scratch-budget-mb over the environment default. Call after
+// apply_resource_flags().
+inline void apply_checkpoint_flags(const util::Flags& flags) {
+  if (const std::int64_t mb = flags.get_int("scratch-budget-mb"); mb > 0)
+    res::ResourceBudget::global().set_scratch_limit(
+        static_cast<std::uint64_t>(mb) * 1024 * 1024);
+  else if (mb < 0)
+    throw std::runtime_error("--scratch-budget-mb must be >= 0");
 }
 
 }  // namespace sssp::tools
