@@ -3,11 +3,13 @@
 // partitioned pulls, SGD updates, and reference algorithms.
 #include <benchmark/benchmark.h>
 
+#include <numeric>
+#include <vector>
+
 #include "core/adaptive_sgd.hpp"
 #include "core/self_tuning.hpp"
 #include "core/tunable_bfs.hpp"
 #include "core/tunable_pagerank.hpp"
-#include "core/partitioned_far_queue.hpp"
 #include "frontier/engine.hpp"
 #include "frontier/far_queue.hpp"
 #include "graph/degree_stats.hpp"
@@ -119,25 +121,39 @@ void BM_DijkstraRoad(benchmark::State& state) {
 }
 BENCHMARK(BM_DijkstraRoad)->Unit(benchmark::kMillisecond);
 
-void BM_FarQueueDrain(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<graph::Distance> dist(n);
+// Static near-far's stage 4 on the far queue: push one spill into δ
+// buckets, then change phase until the queue is empty — each phase
+// pulls front buckets until one yields live work. A quarter of the
+// entries are stale. Distances span ~100 hops of the R-MAT generator's
+// mean weight (50), so the two arguments are δ = 1 and δ = mean.
+void BM_FarQueuePhaseChange(benchmark::State& state) {
+  const auto delta = static_cast<graph::Distance>(state.range(0));
+  const std::size_t n = 1 << 16;
   util::Xoshiro256 rng(1);
-  for (auto& d : dist) d = rng.next_below(1u << 20);
+  std::vector<graph::Distance> pushed(n);
+  for (auto& d : pushed) d = 1 + rng.next_below(100 * 50);
+  std::vector<graph::Distance> current = pushed;
+  for (std::size_t i = 0; i < n; i += 4) current[i] -= 1;  // stale
+  std::vector<graph::VertexId> spill(n);
+  std::iota(spill.begin(), spill.end(), graph::VertexId{0});
+  std::vector<graph::VertexId> refill;
+  std::int64_t phases = 0;
   for (auto _ : state) {
-    state.PauseTiming();
-    frontier::FarQueue q;
-    for (std::size_t i = 0; i < n; ++i)
-      q.push(static_cast<graph::VertexId>(i), dist[i]);
-    std::vector<graph::VertexId> out;
-    out.reserve(n);
-    state.ResumeTiming();
-    q.drain_below(1u << 19, dist, out);
-    benchmark::DoNotOptimize(out.data());
+    frontier::FarQueue q = frontier::FarQueue::fixed_width(delta);
+    q.push_bulk(spill, pushed);
+    while (!q.empty()) {
+      refill.clear();
+      while (refill.empty() && !q.empty())
+        q.pull_front_partition(current, refill);
+      ++phases;
+    }
+    benchmark::DoNotOptimize(refill.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  state.counters["phases"] = benchmark::Counter(
+      static_cast<double>(phases), benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_FarQueueDrain)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK(BM_FarQueuePhaseChange)->Arg(1)->Arg(50);
 
 void BM_PartitionedPush(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -145,7 +161,7 @@ void BM_PartitionedPush(benchmark::State& state) {
   std::vector<graph::Distance> dist(n);
   for (auto& d : dist) d = 1 + rng.next_below(1u << 20);
   for (auto _ : state) {
-    core::PartitionedFarQueue q(1u << 10);
+    frontier::FarQueue q(1u << 10);
     // Tighten a few times so pushes exercise the binary search.
     for (int i = 0; i < 8; ++i) q.update_boundary(1000.0, 1.0);
     for (std::size_t i = 0; i < n; ++i)
@@ -166,7 +182,7 @@ void BM_PartitionedPullVsFlatScan(benchmark::State& state) {
   const bool partitioned = state.range(0) != 0;
   for (auto _ : state) {
     state.PauseTiming();
-    core::PartitionedFarQueue q(partitioned ? (1u << 12) : (1u << 30));
+    frontier::FarQueue q(partitioned ? (1u << 12) : (1u << 30));
     for (std::size_t i = 0; i < n; ++i)
       q.push(static_cast<graph::VertexId>(i), dist[i]);
     std::vector<graph::VertexId> out;

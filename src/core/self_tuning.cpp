@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/partitioned_far_queue.hpp"
 #include "fault/failpoint.hpp"
 #include "frontier/engine.hpp"
 #include "obs/metrics.hpp"
@@ -126,7 +125,7 @@ struct SelfTuningRun::Impl {
   const graph::CsrGraph* graph_ = nullptr;
   DeltaController controller;
   frontier::NearFarEngine engine;
-  PartitionedFarQueue far;
+  frontier::FarQueue far;
   algo::SsspResult result;
   std::vector<VertexId> refill;
   util::WallTimer controller_timer;

@@ -486,7 +486,12 @@ void NearFarEngine::inject(std::span<const graph::VertexId> vertices) {
   }
 }
 
-NearFarEngine::State NearFarEngine::state() const {
+NearFarEngine::State NearFarEngine::state() && {
+  return {std::move(dist_), std::move(parent_), std::move(frontier_),
+          total_improving_, frontier_max_distance_};
+}
+
+NearFarEngine::State NearFarEngine::state() const& {
   State state;
   state.dist = dist_;
   state.parent = parent_;

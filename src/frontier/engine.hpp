@@ -153,7 +153,9 @@ class NearFarEngine {
 
     friend bool operator==(const State&, const State&) = default;
   };
-  State state() const;
+  State state() const&;
+  // Moves the state out of a finished run, sparing the array copies.
+  State state() &&;
   // Validated restore onto this engine's graph: array sizes must match
   // num_vertices() and every frontier id must be in range, else
   // std::invalid_argument. Scratch (marks, epoch, spill, updated

@@ -19,6 +19,7 @@ struct IterationStats {
   std::uint64_t x4 = 0;  // near-side frontier after bisect-frontier
   // Distance-improving relaxations during advance (work the filter sees).
   std::uint64_t improving_relaxations = 0;
+  // Static near-far reports these for the simulator's flat far pile.
   std::uint64_t far_queue_size = 0;   // after the iteration completed
   std::uint64_t rebalance_items = 0;  // vertices scanned by stage 4
   double controller_seconds = 0.0;    // host-side controller time

@@ -1,6 +1,7 @@
 // The baseline near-far SSSP of Davidson et al. as implemented in
 // Gunrock (paper Section 3): a static user-chosen delta partitions the
 // frontier into a near queue (processed now) and a far queue (postponed).
+// The far queue keeps δ buckets; a phase change pulls its front ones.
 #pragma once
 
 #include "graph/csr.hpp"

@@ -585,7 +585,7 @@ int main(int argc, char** argv) {
           "differential performance/energy regression runner over a pinned "
           "road + R-MAT workload matrix"))
     return 0;
-  flags.check_unknown();
+  if (!tools::flags_known(flags)) return 2;
 
   try {
     if (flags.get_bool("overhead-check")) return run_overhead_check();

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   if (flags.handle_help(
           "graph_tool <generate|convert|info|component> [flags]"))
     return 0;
-  flags.check_unknown();
+  if (!tools::flags_known(flags)) return 2;
 
   if (flags.positional().size() != 1) {
     std::fprintf(stderr,

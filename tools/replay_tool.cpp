@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
                "governor replay here");
   if (flags.handle_help("replay a recorded workload across device models"))
     return 0;
-  flags.check_unknown();
+  if (!tools::flags_known(flags)) return 2;
 
   util::RunControl control;
   try {

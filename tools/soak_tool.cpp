@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
           "chaos-soak: randomized faults x kill/resume x threads; every "
           "survivor must certify"))
     return 0;
-  flags.check_unknown();
+  if (!tools::flags_known(flags)) return 2;
 
   try {
     const std::string in = flags.get_string("in");

@@ -304,7 +304,7 @@ int main(int argc, char** argv) {
           "drive a seeded mixed workload against sssp_server and check "
           "every robustness invariant (docs/SERVING.md)"))
     return 0;
-  flags.check_unknown();
+  if (!tools::flags_known(flags)) return 2;
 
   const std::int64_t connect_port = flags.get_int("connect");
   const std::string server_path = flags.get_string("server");

@@ -350,7 +350,7 @@ int main(int argc, char** argv) {
   if (flags.handle_help(
           "serve SSSP queries over a resident graph (docs/SERVING.md)"))
     return 0;
-  flags.check_unknown();
+  if (!tools::flags_known(flags)) return 2;
 
   util::RunControl control;
   try {

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
                "write the raw distance/parent arrays here (binary; for "
                "byte-exact resume comparisons)");
   if (flags.handle_help("run an SSSP algorithm on a graph file")) return 0;
-  flags.check_unknown();
+  if (!tools::flags_known(flags)) return 2;
 
   util::RunControl control;
   try {

@@ -120,6 +120,19 @@ inline void save_any_graph(const graph::CsrGraph& g, const std::string& path) {
   }
 }
 
+// Usage check for the flags the tool did not define: prints an error that
+// names the first unknown flag and returns false; the caller exits 2.
+// Call after handle_help().
+inline bool flags_known(const util::Flags& flags) {
+  try {
+    flags.check_unknown();
+    return true;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s; see --help\n", e.what());
+    return false;
+  }
+}
+
 // Registers the shared observability flags. Call before handle_help().
 inline void define_observability_flags(util::Flags& flags) {
   flags.define("metrics-out", "",
