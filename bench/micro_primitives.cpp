@@ -15,9 +15,11 @@
 #include "graph/degree_stats.hpp"
 #include "graph/rmat.hpp"
 #include "graph/road.hpp"
+#include "serve/result_cache.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/near_far.hpp"
 #include "util/rng.hpp"
+#include "verify/certifier.hpp"
 
 namespace {
 
@@ -120,6 +122,29 @@ void BM_DijkstraRoad(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DijkstraRoad)->Unit(benchmark::kMillisecond);
+
+// What a certified-serving cache hit costs on the serve leg's 512 x 512
+// road graph (seed 7): the integrity hash a hit on a certified entry
+// recomputes (certify:0) against the full certifier it replaces
+// (certify:1).
+void BM_CacheHitCheck(benchmark::State& state) {
+  static const graph::CsrGraph g = [] {
+    graph::RoadOptions options;
+    options.rows = 512;
+    options.cols = 512;
+    options.seed = 7;
+    return graph::generate_road(options);
+  }();
+  static const algo::SsspResult result = algo::near_far(g, 0);
+  for (auto _ : state) {
+    if (state.range(0) == 0)
+      benchmark::DoNotOptimize(serve::integrity_hash(result));
+    else
+      benchmark::DoNotOptimize(verify::certify(g, result).certified);
+  }
+}
+BENCHMARK(BM_CacheHitCheck)->Arg(0)->Arg(1)->ArgName("certify")
+    ->Unit(benchmark::kMicrosecond);
 
 // Static near-far's stage 4 on the far queue: push one spill into δ
 // buckets, then change phase until the queue is empty — each phase

@@ -51,7 +51,7 @@ void Profiler::start(const Options& options) {
   total_joules_ = 0.0;
   rapl_last_ = RaplEnergy{};
 
-  start_seconds_ = monotonic_seconds();
+  start_seconds_ = clock_();
   start_counters_ = perf_.read();
   stop_seconds_ = start_seconds_;
   stop_counters_ = start_counters_;
@@ -88,14 +88,14 @@ double Profiler::cumulative_joules() {
     rapl_last_ = rapl_.read();
     return rapl_last_.total_joules();
   }
-  return (monotonic_seconds() - start_seconds_) * model_watts_;
+  return (clock_() - start_seconds_) * model_watts_;
 }
 
 Profiler::Transition Profiler::read_now() {
   Transition t;
   t.joules = cumulative_joules();
   t.counters = perf_.read();
-  t.seconds = monotonic_seconds();
+  t.seconds = clock_();
   return t;
 }
 
@@ -165,7 +165,7 @@ RunProfile Profiler::report() const {
   rp.counter_backend = counter_backend_;
   rp.counter_backend_detail = perf_.status();
   rp.wall_seconds =
-      (running_ ? monotonic_seconds() : stop_seconds_) - start_seconds_;
+      (running_ ? clock_() : stop_seconds_) - start_seconds_;
   rp.totals = (running_ ? perf_.read() : stop_counters_) - start_counters_;
   rp.phases = phases_;
   rp.iterations = iterations_;

@@ -77,6 +77,15 @@ class Profiler {
 
   bool running() const noexcept { return running_; }
 
+  // The time source for phase boundaries, iteration samples and model
+  // energy, in seconds; nullptr restores monotonic_seconds. Tests
+  // inject a fake clock to check attribution exactly. Set it while
+  // stopped.
+  using Clock = double (*)();
+  void set_clock(Clock clock) noexcept {
+    clock_ = clock != nullptr ? clock : &monotonic_seconds;
+  }
+
   // Phase scoping — called via SSSP_PROF_PHASE, not directly.
   // `name` must outlive the scope (string literals at the call sites).
   // Returns false (no-op) off the owner thread or when not running;
@@ -112,6 +121,7 @@ class Profiler {
   double cumulative_joules();
 
   Options options_;
+  Clock clock_ = &monotonic_seconds;
   bool running_ = false;
   std::thread::id owner_;
 

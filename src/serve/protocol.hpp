@@ -104,10 +104,12 @@ struct Response {
   std::uint64_t dist_checksum = 0;
   std::vector<TargetDistance> targets;
   bool cache_hit = false;
-  bool verified = false;   // certification ran
+  // Verification ran: the certifier, or on a hit of a certified cache
+  // entry the integrity check against the certified bytes.
+  bool verified = false;
   bool certified = false;  // ... and passed
   double queue_ms = 0.0;   // admission -> execution start
-  double run_ms = 0.0;     // execution (solve + certify)
+  double run_ms = 0.0;     // execution (solve + verification)
   // info payload (cmd == "info"):
   bool has_info = false;
   std::uint64_t num_vertices = 0;

@@ -1,5 +1,7 @@
 #include "serve/result_cache.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <sstream>
 
 #include "fault/failpoint.hpp"
@@ -32,6 +34,28 @@ std::string cache_options_key(const std::string& algorithm,
 
 namespace {
 
+// Any odd multiplier makes h -> (h ^ w) * kOdd a bijection of h.
+constexpr std::uint64_t kOdd = 0x9E3779B97F4A7C15ULL;
+
+// Absorbs `size` bytes as little-endian 64-bit words, word i into lane
+// i % 4; a short tail is zero-padded into one last word.
+void absorb_words(std::uint64_t (&lanes)[4], const void* data,
+                  std::size_t size) noexcept {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  std::size_t i = 0;
+  for (; i + 32 <= size; i += 32)
+    for (int lane = 0; lane < 4; ++lane) {
+      std::uint64_t word;
+      std::memcpy(&word, bytes + i + 8 * lane, sizeof word);
+      lanes[lane] = (lanes[lane] ^ word) * kOdd;
+    }
+  for (int lane = 0; i < size; i += 8, ++lane) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, bytes + i, std::min<std::size_t>(8, size - i));
+    lanes[lane] = (lanes[lane] ^ word) * kOdd;
+  }
+}
+
 // Dominant payload: the V-sized result arrays (plus path vertices for
 // p2p-style entries and the struct overhead itself).
 std::size_t entry_bytes(const CacheEntry& entry) noexcept {
@@ -41,6 +65,18 @@ std::size_t entry_bytes(const CacheEntry& entry) noexcept {
 }
 
 }  // namespace
+
+std::uint64_t integrity_hash(const algo::SsspResult& result) noexcept {
+  std::uint64_t lanes[4] = {1, 2, 3, 4};
+  absorb_words(lanes, result.distances.data(),
+               result.distances.size() * sizeof(graph::Distance));
+  absorb_words(lanes, result.parents.data(),
+               result.parents.size() * sizeof(graph::VertexId));
+  std::uint64_t h = result.distances.size();
+  h = (h ^ result.parents.size()) * kOdd;
+  for (const std::uint64_t lane : lanes) h = (h ^ lane) * kOdd;
+  return h;
+}
 
 ResultCache::ResultCache(std::size_t capacity, std::size_t max_bytes)
     : capacity_(capacity), max_bytes_(max_bytes) {}
@@ -73,9 +109,9 @@ void ResultCache::insert(const CacheKey& key,
   if (capacity_ == 0 || entry == nullptr) return;
 
   // Cache-poisoning drill: store a copy with one finite distance
-  // bit-flipped. The entry's dist_checksum (computed by the producer
-  // before insert) is left untouched, so the corruption is latent until
-  // a read-side certification or checksum comparison exposes it.
+  // bit-flipped. The entry's hashes (computed by the producer before
+  // insert) are left untouched, so the corruption is latent until the
+  // read-side integrity check or a certification exposes it.
   if (SSSP_FAILPOINT("serve.cache.flip")) {
     auto poisoned = std::make_shared<CacheEntry>(*entry);
     auto& dist = poisoned->result.distances;

@@ -6,9 +6,12 @@
 // algorithm knobs — a server restarted onto a different graph, or a
 // query with a different delta/set-point, can never be served a stale
 // answer. Entries hold the full SsspResult (distances + parents +
-// counters), so a hit skips the solve entirely; per-query verification
-// still runs on the cached arrays, which is what catches the
-// `serve.cache.flip` poisoning drill at read time.
+// counters), so a hit skips the solve entirely. A hit on an entry that
+// was certified when it was inserted is not certified again: the reader
+// recomputes integrity_hash() over the cached arrays and compares it
+// with the hash the producer stored, which is what catches the
+// `serve.cache.flip` poisoning drill at read time. A hit on an entry
+// that was never certified still runs the full certifier.
 //
 // Thread-safety: lookup/insert/stats are mutex-guarded; entries are
 // handed out as shared_ptr<const ...> so readers never race an
@@ -45,12 +48,23 @@ struct CacheKeyHash {
 std::string cache_options_key(const std::string& algorithm,
                               std::uint64_t delta, double set_point);
 
+// Word-wise integrity hash over a result's distances and parents: four
+// lanes of h = (h ^ w) * odd over 64-bit words, folded with the array
+// sizes. Each step is a bijection of h, so a change confined to one
+// word (such as one flipped bit) always changes the hash. An integrity
+// check, not a checksum clients see: responses carry dist_checksum.
+std::uint64_t integrity_hash(const algo::SsspResult& result) noexcept;
+
 struct CacheEntry {
   algo::SsspResult result;
-  // FNV-1a 64 over the distance array at insert time (pre-poisoning:
-  // computed by the *producer*, so a flipped bit in the stored copy is
-  // detectable against it).
+  // FNV-1a 64 over the distance array, the response's dist_checksum.
   std::uint64_t dist_checksum = 0;
+  // integrity_hash(result), computed by the *producer* before insert,
+  // so a flipped bit in the stored copy is detectable against it.
+  std::uint64_t integrity = 0;
+  // The fresh result passed the certifier (false when the query that
+  // produced it ran with verification off).
+  bool certified = false;
 };
 
 class ResultCache {
@@ -68,8 +82,8 @@ class ResultCache {
   // Inserts (or replaces) and evicts from the LRU tail past capacity.
   // Hosts the `serve.cache.flip` failpoint: when armed, one finite
   // distance in a private copy of the entry is bit-flipped before it is
-  // stored — subsequent hits serve poisoned data that read-side
-  // certification must catch.
+  // stored — subsequent hits serve poisoned data that the read-side
+  // integrity check must catch.
   void insert(const CacheKey& key, std::shared_ptr<const CacheEntry> entry);
 
   // Drops the entry if present (read-side poisoning quarantine).

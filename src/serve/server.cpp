@@ -13,6 +13,7 @@
 #include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/near_far.hpp"
+#include "util/thread_pool.hpp"
 #include "verify/certifier.hpp"
 
 namespace sssp::serve {
@@ -314,6 +315,15 @@ void Server::execute(Ticket& ticket, std::size_t worker_id) {
     const bool cache_hit = entry != nullptr;
     bump(cache_hit ? "serve.cache.hit" : "serve.cache.miss");
 
+    // With at least one worker per pool thread the workers already fill
+    // every core. A query that forked onto the shared pool would then
+    // oversubscribe them and wait at each batch's join for pool threads
+    // the other queries had preempted, so it runs on its worker alone.
+    // Results do not depend on the schedule.
+    const bool parallel = std::max<std::size_t>(1, options_.workers) <
+                          util::ThreadPool::global().size();
+
+    std::shared_ptr<CacheEntry> fresh;
     if (!cache_hit) {
       algo::SsspResult result;
       if (algorithm == "dijkstra") {
@@ -326,28 +336,41 @@ void Server::execute(Ticket& ticket, std::size_t worker_id) {
         core::SelfTuningOptions st;
         st.set_point = set_point;
         st.control = &control;
+        st.parallel_advance = parallel;
         result = core::self_tuning_sssp(graph_, request.source, st);
       } else {  // near-far (the validated default)
         algo::NearFarOptions nf;
         nf.delta = static_cast<graph::Distance>(request.delta);
         nf.control = &control;
+        nf.parallel = parallel;
         result = algo::near_far(graph_, request.source, nf);
       }
-      auto fresh = std::make_shared<CacheEntry>();
+      fresh = std::make_shared<CacheEntry>();
       fresh->result = std::move(result);
       fresh->dist_checksum = graph::fnv1a64(
           fresh->result.distances.data(),
           fresh->result.distances.size() * sizeof(graph::Distance));
-      entry = std::move(fresh);
+      fresh->integrity = integrity_hash(fresh->result);
+      entry = fresh;
     }
 
     bool verified = false;
     bool certified = false;
     if (verify) {
-      const verify::Certificate certificate =
-          verify::certify(graph_, entry->result);
+      std::string failure;
+      if (cache_hit && entry->certified) {
+        // Certified when it was inserted: proving that its bytes have
+        // not changed since is enough.
+        certified = integrity_hash(entry->result) == entry->integrity;
+        if (!certified) failure = "integrity hash mismatch";
+      } else {
+        const verify::Certificate certificate =
+            verify::certify(graph_, entry->result, {.parallel = parallel});
+        certified = certificate.certified;
+        if (!certified) failure = certificate.summary();
+        if (fresh) fresh->certified = certified;
+      }
       verified = true;
-      certified = certificate.certified;
       if (!certified) {
         certification_failures_.fetch_add(1, std::memory_order_relaxed);
         bump("serve.certification.failed");
@@ -363,7 +386,7 @@ void Server::execute(Ticket& ticket, std::size_t worker_id) {
         response.status = Status::kError;
         response.error =
             std::string(cache_hit ? "cached result" : "result") +
-            " failed certification: " + certificate.summary();
+            " failed certification: " + failure;
         response.queue_ms = queue_ms;
         response.run_ms = ms_between(exec_start, Clock::now());
         respond(ticket, std::move(response));
@@ -371,9 +394,9 @@ void Server::execute(Ticket& ticket, std::size_t worker_id) {
       }
     }
 
-    // Only certified (or verification-waived) fresh results enter the
-    // cache; the insert-side serve.cache.flip drill poisons *after*
-    // this point by construction.
+    // Only certified (or verification-waived, then marked uncertified)
+    // fresh results enter the cache; the insert-side serve.cache.flip
+    // drill poisons *after* the hashes are taken by construction.
     if (!cache_hit) cache_.insert(key, entry);
 
     Response response;

@@ -12,9 +12,12 @@
 // Invariants the chaos harness holds the server to:
 //   - every submitted request gets exactly one structured response
 //     (no silent drops once a request is admitted or shed);
-//   - every `ok` response with verification on passed certification —
-//     including cache hits, which re-certify the cached arrays (the
-//     `serve.cache.flip` poisoning drill);
+//   - every `ok` response with verification on is certified: a fresh
+//     result passed the certifier; a cache hit on a certified entry
+//     matched the integrity hash stored at insert, which proves the
+//     cached arrays are the certified bytes (the `serve.cache.flip`
+//     poisoning drill); a hit on an entry inserted unverified runs the
+//     certifier;
 //   - a handler crash (`serve.handler.crash`) costs one `error`
 //     response, never a worker or a queue slot;
 //   - drain (SIGINT/SIGTERM/EOF) stops admissions, finishes or sheds
@@ -59,7 +62,9 @@ struct ServerOptions {
   std::size_t queue_capacity = 64;
   ShedPolicy shed_policy = ShedPolicy::kRejectNew;
   // Per-query concurrency cap: at most this many queries execute at
-  // once (each may still use the global thread pool internally).
+  // once. A query forks onto the global thread pool only while there
+  // are fewer workers than pool threads; otherwise it runs on its
+  // worker alone.
   std::size_t workers = default_workers();
   // LRU result-cache capacity in entries (0 disables caching).
   std::size_t cache_entries = 128;

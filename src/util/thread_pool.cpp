@@ -59,6 +59,10 @@ void ThreadPool::run_on_all(const std::function<void(std::size_t)>& fn) {
     return;
   }
   std::lock_guard<std::mutex> batch_lock(batch_mu_);
+  run_batch(fn);
+}
+
+void ThreadPool::run_batch(const std::function<void(std::size_t)>& fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     fn_ = &fn;

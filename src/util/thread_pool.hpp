@@ -22,6 +22,16 @@
 // schedule; see docs/PERFORMANCE.md for the determinism argument. The
 // pool itself guarantees only that every chunk runs exactly once and
 // that a batch's writes happen-before run_on_all returns.
+//
+// The pool runs one batch at a time. When several threads share it
+// (a query server with fewer workers than pool threads solves and
+// certifies on the global pool), a for_each_chunk that finds another
+// batch in flight runs all of its chunks on the calling thread as
+// thread 0 instead of queueing behind that batch; run_on_all always
+// waits its turn, because its callers expect every thread id. Nested
+// calls (a body calling back into the same pool) are not supported:
+// the nested for_each_chunk would try_lock a mutex its own thread
+// already holds, which is undefined behaviour for std::mutex.
 #pragma once
 
 #include <atomic>
@@ -54,16 +64,18 @@ class ThreadPool {
   // Runs body(chunk, thread_id) for every chunk in [0, num_chunks).
   // Chunks are claimed dynamically from an atomic counter, so threads
   // that finish early keep pulling work. Blocks until every chunk
-  // finishes.
+  // finishes. If another thread's batch holds the pool, every chunk
+  // runs inline on the caller as thread 0.
   template <typename Body>
   void for_each_chunk(std::size_t num_chunks, Body&& body) {
     if (num_chunks == 0) return;
-    if (workers_.empty() || num_chunks == 1) {
+    std::unique_lock<std::mutex> batch_lock(batch_mu_, std::defer_lock);
+    if (workers_.empty() || num_chunks == 1 || !batch_lock.try_lock()) {
       for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) body(chunk, 0);
       return;
     }
     std::atomic<std::size_t> next{0};
-    run_on_all([&](std::size_t thread_id) {
+    run_batch([&](std::size_t thread_id) {
       for (;;) {
         const std::size_t chunk = next.fetch_add(1, std::memory_order_relaxed);
         if (chunk >= num_chunks) return;
@@ -84,6 +96,8 @@ class ThreadPool {
 
  private:
   void worker_loop(std::size_t thread_id);
+  // run_on_all's body; the caller holds batch_mu_.
+  void run_batch(const std::function<void(std::size_t)>& fn);
 
   std::vector<std::thread> workers_;
   std::mutex mu_;
@@ -91,7 +105,8 @@ class ThreadPool {
   std::condition_variable done_cv_;
   bool stop_ = false;
 
-  // Single in-flight batch; run_on_all is serialized per pool.
+  // Single in-flight batch: held by run_on_all for its whole batch and
+  // tried (never waited on) by for_each_chunk.
   std::mutex batch_mu_;
   const std::function<void(std::size_t)>* fn_ = nullptr;
   std::size_t done_workers_ = 0;

@@ -32,6 +32,8 @@ std::shared_ptr<CacheEntry> entry_for(const graph::CsrGraph& g,
   entry->dist_checksum = graph::fnv1a64(
       entry->result.distances.data(),
       entry->result.distances.size() * sizeof(graph::Distance));
+  entry->integrity = integrity_hash(entry->result);
+  entry->certified = true;
   return entry;
 }
 
@@ -116,9 +118,9 @@ TEST(ResultCacheTest, ZeroCapacityDisablesCaching) {
 
 // The cache-poisoning drill: with serve.cache.flip armed, the stored
 // copy has one finite distance bit-flipped while the producer-computed
-// checksum is untouched — so the read side (certification or checksum
-// comparison) must catch it. This is the in-vitro version of what the
-// server's cache-hit path does in production.
+// hashes are untouched — so the read side (the integrity check, or
+// certification) must catch it. This is the in-vitro version of what
+// the server's cache-hit path does in production.
 TEST(ResultCacheTest, PoisonedInsertIsCaughtOnRead) {
   const auto g = ring(64);
   ResultCache cache(4);
@@ -140,6 +142,44 @@ TEST(ResultCacheTest, PoisonedInsertIsCaughtOnRead) {
       poisoned->result.distances.data(),
       poisoned->result.distances.size() * sizeof(graph::Distance));
   EXPECT_NE(read_checksum, poisoned->dist_checksum);
+  // ...and so does the integrity check a certified hit runs.
+  EXPECT_NE(integrity_hash(poisoned->result), poisoned->integrity);
+  EXPECT_EQ(integrity_hash(clean->result), clean->integrity);
+}
+
+// A stored entry with one bit flipped, in any distance or any parent,
+// fails the integrity check: every step of the hash is a bijection, so
+// a change confined to one word always changes it. Exhaustive over
+// every bit of a small result, one flip at a time.
+TEST(ResultCacheTest, IntegrityHashCatchesEveryFlippedDistanceAndParentBit) {
+  const auto g = ring(37);  // odd V: the parent array ends in a tail word
+  const auto clean = entry_for(g, 0);
+  algo::SsspResult copy = clean->result;
+  for (std::size_t i = 0; i < copy.distances.size(); ++i)
+    for (int bit = 0; bit < 64; ++bit) {
+      copy.distances[i] ^= graph::Distance{1} << bit;
+      EXPECT_NE(integrity_hash(copy), clean->integrity)
+          << "distance " << i << " bit " << bit;
+      copy.distances[i] ^= graph::Distance{1} << bit;
+    }
+  for (std::size_t i = 0; i < copy.parents.size(); ++i)
+    for (int bit = 0; bit < 32; ++bit) {
+      copy.parents[i] ^= graph::VertexId{1} << bit;
+      EXPECT_NE(integrity_hash(copy), clean->integrity)
+          << "parent " << i << " bit " << bit;
+      copy.parents[i] ^= graph::VertexId{1} << bit;
+    }
+  EXPECT_EQ(integrity_hash(copy), clean->integrity);
+}
+
+// The hash covers the array sizes: a result cut short by one trailing
+// parent does not match.
+TEST(ResultCacheTest, IntegrityHashCoversArraySizes) {
+  const auto g = ring(32);
+  const auto clean = entry_for(g, 0);
+  algo::SsspResult copy = clean->result;
+  copy.parents.pop_back();
+  EXPECT_NE(integrity_hash(copy), clean->integrity);
 }
 
 // Byte bound (docs/ROBUSTNESS.md, "Resource budgets & exhaustion"):

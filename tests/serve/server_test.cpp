@@ -15,9 +15,12 @@
 
 #include "fault/failpoint.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "res/budget.hpp"
 #include "serve/socket.hpp"
 #include "tests/sssp/test_graphs.hpp"
+#include "util/thread_pool.hpp"
+#include "verify/flight_recorder.hpp"
 
 namespace sssp::serve {
 namespace {
@@ -88,7 +91,7 @@ TEST(ServerTest, OkQueryIsCertifiedAndCached) {
   const Response second = c.responses[1];
   EXPECT_EQ(second.status, Status::kOk);
   EXPECT_TRUE(second.cache_hit);
-  EXPECT_TRUE(second.certified);  // cache hits re-certify
+  EXPECT_TRUE(second.certified);  // integrity-checked against the insert
   EXPECT_EQ(second.dist_checksum, first.dist_checksum);
   server.drain();
 }
@@ -241,8 +244,8 @@ TEST(ServerTest, PoisonedCacheEntryCaughtQuarantinedRecomputed) {
   EXPECT_EQ(c.responses[0].status, Status::kOk);
   EXPECT_TRUE(c.responses[0].certified);
 
-  // The cache hit serves the poisoned copy: read-side certification
-  // must catch it, respond `error`, and quarantine the entry.
+  // The cache hit serves the poisoned copy: the read-side integrity
+  // check must catch it, respond `error`, and quarantine the entry.
   server.submit(query("hit", 0), c.sink());
   ASSERT_TRUE(c.wait_for(2));
   EXPECT_EQ(c.responses[1].status, Status::kError);
@@ -257,6 +260,98 @@ TEST(ServerTest, PoisonedCacheEntryCaughtQuarantinedRecomputed) {
   EXPECT_FALSE(c.responses[2].cache_hit);
   EXPECT_TRUE(c.responses[2].certified);
   server.drain();
+}
+
+// Certifier runs, counted through the flight recorder's kCertify
+// events since the last reset.
+std::size_t certify_events() {
+  std::size_t n = 0;
+  for (const verify::FlightEvent& e :
+       verify::FlightRecorder::global().snapshot())
+    if (e.kind == verify::FlightEventKind::kCertify) ++n;
+  return n;
+}
+
+// A hit on an entry that was certified at insert checks the integrity
+// hash and runs no certifier. An entry inserted by a "verify": false
+// query was never certified, so every hit on it runs the full
+// certifier (the entry stays uncertified).
+TEST(ServerTest, OnlyHitsOnUnverifiedEntriesRunTheCertifier) {
+  const auto g = random_graph(256, 4.0, 100, 3);
+  const bool was_enabled = verify::flight_enabled();
+  verify::set_flight_enabled(true);
+  verify::FlightRecorder::global().reset();
+  Server server(g, {});
+  server.start();
+  Collector c;
+
+  server.submit(query("certified-miss", 1), c.sink());
+  ASSERT_TRUE(c.wait_for(1));
+  EXPECT_EQ(certify_events(), 1u);
+  server.submit(query("certified-hit", 1), c.sink());
+  ASSERT_TRUE(c.wait_for(2));
+  EXPECT_TRUE(c.responses[1].cache_hit);
+  EXPECT_TRUE(c.responses[1].verified);
+  EXPECT_TRUE(c.responses[1].certified);
+  EXPECT_EQ(certify_events(), 1u) << "a certified hit re-ran the certifier";
+
+  server.submit(query("unverified-miss", 2, ",\"verify\":false"), c.sink());
+  ASSERT_TRUE(c.wait_for(3));
+  EXPECT_EQ(c.responses[2].status, Status::kOk);
+  EXPECT_FALSE(c.responses[2].verified);
+  EXPECT_EQ(certify_events(), 1u);
+  for (std::size_t hit = 1; hit <= 2; ++hit) {
+    server.submit(query("unverified-hit", 2), c.sink());
+    ASSERT_TRUE(c.wait_for(3 + hit));
+    const Response& r = c.responses[2 + hit];
+    EXPECT_EQ(r.status, Status::kOk);
+    EXPECT_TRUE(r.cache_hit);
+    EXPECT_TRUE(r.verified);
+    EXPECT_TRUE(r.certified);
+    EXPECT_EQ(r.dist_checksum, c.responses[2].dist_checksum);
+    EXPECT_EQ(certify_events(), 1u + hit);
+  }
+  server.drain();
+  verify::FlightRecorder::global().reset();
+  verify::set_flight_enabled(was_enabled);
+}
+
+// With at least one worker per pool thread the workers already fill the
+// cores, so a query runs on its worker alone; with fewer workers its
+// large frontiers fork onto the pool. Seen through the engine's
+// parallel-advance counter; the answer is the same either way.
+TEST(ServerTest, WorkersThatFillThePoolSolveOnTheirOwnThreads) {
+  const auto g = random_graph(1 << 15, 8.0, 100, 5);
+  const std::size_t threads_before = util::ThreadPool::global().size();
+  util::ThreadPool::set_global_threads(2);
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const obs::Counter& parallel_advances =
+      obs::MetricsRegistry::global().counter("engine.advance.parallel");
+
+  const auto serve_one = [&](std::size_t workers) {
+    ServerOptions options;
+    options.workers = workers;
+    Server server(g, options);
+    server.start();
+    Collector c;
+    const std::uint64_t before = parallel_advances.value();
+    server.submit(query("q", 0), c.sink());
+    EXPECT_TRUE(c.wait_for(1));
+    server.drain();
+    const Response r = c.first(Status::kOk);
+    EXPECT_TRUE(r.certified);
+    return std::make_pair(parallel_advances.value() - before,
+                          r.dist_checksum);
+  };
+  const auto [forked, forked_checksum] = serve_one(1);
+  const auto [alone, alone_checksum] = serve_one(2);
+  EXPECT_GT(forked, 0u) << "no frontier reached the parallel threshold";
+  EXPECT_EQ(alone, 0u);
+  EXPECT_EQ(alone_checksum, forked_checksum);
+
+  obs::set_metrics_enabled(was_enabled);
+  util::ThreadPool::set_global_threads(threads_before);
 }
 
 TEST(ServerTest, DrainShedsEverythingAndStops) {

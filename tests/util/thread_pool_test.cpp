@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <latch>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -30,6 +33,52 @@ TEST(ThreadPool, SingleThreadPoolRunsInline) {
   });
   EXPECT_EQ(total, 10u);
   EXPECT_FALSE(off_caller);
+}
+
+// A for_each_chunk that finds another thread's batch holding the pool
+// runs every chunk on the caller as thread 0 instead of waiting. Thread
+// A's batch blocks on a latch until B's call has returned, so B can
+// only finish by running inline. (The bounded wait only ends a broken
+// pool's test: B would block on A's batch forever.)
+TEST(ThreadPool, BusyPoolRunsChunksInline) {
+  ThreadPool pool(4);
+  constexpr std::size_t kChunks = 16;
+  std::latch a_running(1);
+  std::latch release_a(1);
+  std::vector<std::atomic<int>> a_visits(kChunks);
+  std::thread a([&] {
+    pool.for_each_chunk(kChunks, [&](std::size_t chunk, std::size_t) {
+      if (chunk == 0) a_running.count_down();
+      release_a.wait();
+      a_visits[chunk].fetch_add(1);
+    });
+  });
+  a_running.wait();
+
+  std::vector<int> b_visits(kChunks, 0);
+  bool off_caller = false;
+  std::promise<void> b_done;
+  std::thread b([&] {
+    const std::thread::id caller = std::this_thread::get_id();
+    pool.for_each_chunk(kChunks, [&](std::size_t chunk, std::size_t tid) {
+      if (tid != 0 || std::this_thread::get_id() != caller) off_caller = true;
+      ++b_visits[chunk];
+    });
+    b_done.set_value();
+  });
+  const bool b_finished_first =
+      b_done.get_future().wait_for(std::chrono::seconds(60)) ==
+      std::future_status::ready;
+  release_a.count_down();
+  a.join();
+  b.join();
+
+  EXPECT_TRUE(b_finished_first) << "B waited for A's batch";
+  EXPECT_FALSE(off_caller);
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    EXPECT_EQ(b_visits[c], 1) << c;
+    EXPECT_EQ(a_visits[c].load(), 1) << c;
+  }
 }
 
 TEST(ThreadPool, ReusableAcrossManyBatches) {
